@@ -28,7 +28,7 @@ from .convergence import (
     converge_T_n3,
     disjoint_domain_probe,
 )
-from .kz import KZInstance, resolve_workers, verify_solution
+from .kz import KZInstance, verify_solution
 from .solutions import extract_solution
 from .sparsepoly import ModulusContext, vector_from_json
 
@@ -72,8 +72,25 @@ def _parse_mvec(text: str | None):
     return tuple(int(x) for x in text.split(","))
 
 
+def _require(args, *names) -> None:
+    for name in names:
+        if getattr(args, name) is None:
+            raise ValueError(f"--{name} is required")
+
+
 def _instance(args) -> KZInstance:
+    _require(args, "p", "s", "n", "l")
     return KZInstance(args.n, ModulusContext(args.p, args.s))
+
+
+def _extract(args):
+    """The instance and the solution record named by --p --s --n --l [--r --mvec]."""
+    inst = _instance(args)
+    record = extract_solution(inst, _parse_mvec(args.mvec), args.l, args.r)
+    if record.vector.is_zero():         # it would pass every check vacuously
+        raise ValueError(f"--l {args.l} gives the zero vector at level {record.r} "
+                         f"(with the default exponents l runs over 1..{inst.g})")
+    return inst, record
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -104,7 +121,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--l", type=int)
     sp.add_argument("--r", type=int, default=None)
     sp.add_argument("--mvec")
-    sp.add_argument("--workers", type=int, default=None)
     common(sp)
 
     sp = sub.add_parser("cartier", help="Cartier-Manin matrix and grading checks")
@@ -140,8 +156,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def cmd_gen(args):
-    inst = _instance(args)
-    record = extract_solution(inst, _parse_mvec(args.mvec), args.l, args.r)
+    _, record = _extract(args)
     checks = record.homogeneous() and record.column_sums_divisible()
     artifact = {"schema": SCHEMA, "kind": "solution", **record.to_json(),
                 "checks_ok": checks}
@@ -149,25 +164,29 @@ def cmd_gen(args):
 
 
 def cmd_verify(args):
+    """Verify at the level r of the solution: an index l*p**r - 1 solves mod p**r."""
     if args.infile:
         with open(args.infile, "r", encoding="utf-8") as fh:
             data = json.load(fh)
-        inst = KZInstance(data["n"], ModulusContext(data["p"], data["s"]))
-        vector = vector_from_json(data["vector"])
-        params = {k: data[k] for k in ("p", "s", "n", "l", "r")}
+        try:
+            params = {k: data[k] for k in ("p", "s", "n", "l", "r")}
+            inst = KZInstance(data["n"], ModulusContext(data["p"], data["s"]))
+            vector = vector_from_json(data["vector"])
+        except (KeyError, TypeError) as exc:
+            raise ValueError(f"{args.infile}: not a solution artifact ({exc!r})") from exc
     else:
-        inst = _instance(args)
-        record = extract_solution(inst, _parse_mvec(args.mvec), args.l, args.r)
+        inst, record = _extract(args)
         vector = record.vector
         params = {"p": args.p, "s": args.s, "n": args.n, "l": args.l,
                   "r": record.r}
-    check = verify_solution(vector, inst, workers=resolve_workers(args.workers))
+    check = verify_solution(vector, inst.level(params["r"]))
     artifact = {"schema": SCHEMA, "kind": "verify", "params": params,
                 **check.to_json()}
     return (0 if check.passed else 1), artifact
 
 
 def cmd_cartier(args):
+    _require(args, "p", "n")
     C = cartier_matrix(args.p, args.n)
     ok = C.degrees_ok()
     artifact = {"schema": SCHEMA, "kind": "cartier", "matrix": C.to_json(),
@@ -216,9 +235,7 @@ def cmd_converge(args):
         artifact = {"schema": SCHEMA, "kind": "classic", **report.to_json()}
         return (0 if report.passed else 1), artifact
 
-    for name in ("p", "n", "l", "smax"):
-        if getattr(args, name) is None:
-            raise ValueError(f"--{name} is required without --classic")
+    _require(args, "p", "n", "l", "smax")
     samples = args.samples if args.samples is not None else 50
     seed = args.seed if args.seed is not None else 0
     prec = args.prec if args.prec is not None else args.smax + 8

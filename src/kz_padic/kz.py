@@ -3,20 +3,29 @@
 The system couples n first-order equations
     dI/dz_i = (1/2) sum_{j != i} Omega_ij / (z_i - z_j) I
 with the algebraic constraint I_1 + ... + I_n = 0.  Verification works
-modulo p**s on polynomial vectors after clearing denominators: equation i
-holds iff
-    prod_{j != i}(z_i - z_j) dI/dz_i
-      - inv(2) sum_{j != i} prod_{k != i,j}(z_i - z_k) Omega_ij I
-vanishes mod p**s.  Multiplying a vanishing identity by a polynomial keeps
-it vanishing, so a zero residual is sound; as a converse probe the residual
+modulo p**s on polynomial vectors after clearing denominators.  Write
+    L_i = prod_{j != i}(z_i - z_j),   R_ik = L_i / (z_i - z_k),
+    S = I_1 + ... + I_n;
+equation i holds iff the cleared residual
+    L_i dI/dz_i - inv(2) sum_{j != i} R_ij Omega_ij I
+vanishes mod p**s.  Omega_ik only mixes slots i and k, so with the reduced
+pair residuals
+    r_ik = (z_i - z_k) dI_k/dz_i - inv(2) (I_i - I_k)
+the cleared residual factors exactly, over Z before any reduction:
+    component k != i:   R_ik r_ik,
+    component i:        L_i dS/dz_i - sum_{k != i} R_ik r_ik.
+R_ik and L_i are monic in z_i, so multiplying by them is injective on
+(Z/p**s)[z]: the residual vanishes mod p**s iff every r_ik and dS/dz_i
+does.  ``kz_residue`` therefore forms those in one linear pass over the
+terms and multiplies polynomials only to rebuild a residual that is not
+zero.  Multiplying a vanishing identity by a polynomial keeps it
+vanishing, so a zero residual is sound; as a converse probe the residual
 is also evaluated at random points where the cleared factor is a unit.
 """
 
 from __future__ import annotations
 
-import os
 import random
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 from .sparsepoly import ModulusContext, Polynomial, PolyVector, z_variables
@@ -82,32 +91,81 @@ def apply_omega(vec: PolyVector, i: int, j: int) -> PolyVector:
     return PolyVector(out)
 
 
-def _difference_product(zvars, i: int, skip: set) -> Polynomial:
-    """prod over j not in skip of (z_i - z_j), 1-based indices."""
-    poly = Polynomial.one(zvars)
-    zi = Polynomial.variable(zvars[i - 1], zvars)
-    for j in range(1, len(zvars) + 1):
-        if j == i or j in skip:
-            continue
-        poly = poly * (zi - Polynomial.variable(zvars[j - 1], zvars))
-    return poly
+def _times_difference(terms: dict, a: int, b: int) -> dict:
+    """(z_a - z_b) f for a term map f (0-based a, b): a shift up in z_a and in z_b."""
+    out: dict = {}
+    for mono, c in terms.items():
+        up = list(mono)
+        up[a] += 1
+        key = tuple(up)
+        out[key] = out.get(key, 0) + c
+        up[a] -= 1
+        up[b] += 1
+        key = tuple(up)
+        out[key] = out.get(key, 0) - c
+    return out
+
+
+def _reduce(terms: dict, m: int) -> dict:
+    return {mono: c % m for mono, c in terms.items() if c % m}
 
 
 def kz_residue(I: PolyVector, i: int, inst: KZInstance) -> PolyVector:
-    """Cleared-denominator residual of equation i, reduced mod p**s."""
-    if len(I) != inst.n:
-        raise ValueError(f"vector length {len(I)} != n={inst.n}")
-    zvars = I.vars
-    zi_index = zvars.index(f"z{i}")
-    lead = _difference_product(zvars, i, set())
-    res = PolyVector([lead * e.diff_index(zi_index) for e in I.entries])
+    """Cleared-denominator residual of equation i, reduced mod p**s.
+
+    Computed through the reduced pair residuals r_ik and dS/dz_i (see the
+    module docstring).  Since (z_i - z_k) d/dz_i z**d = d_i z**d - d_i z**d',
+    with d' = d - e_i + e_k, a term c z**d of I_k adds (d_i + inv2) c z**d
+    and -d_i c z**d' to r_ik, and r_ik = that sum - inv2 I_i: one pass over
+    the terms.  When every r_ik and dS/dz_i vanishes mod p**s so does the
+    residual, and no polynomial is multiplied.
+    """
+    n = inst.n
+    if len(I) != n:
+        raise ValueError(f"vector length {len(I)} != n={n}")
+    if I.vars != inst.zvars:
+        raise ValueError(f"vector over {I.vars}, expected {inst.zvars}")
+    if not 1 <= i <= n:
+        raise ValueError(f"equation {i} outside 1..{n}")
+    m = inst.ctx.modulus
     inv2 = inst.ctx.inv2
-    for j in range(1, inst.n + 1):
-        if j == i:
+    a = i - 1
+    pairs = {}                              # k -> r_ik mod p**s, nonzero only
+    for k in range(n):
+        if k == a:
             continue
-        rest = _difference_product(zvars, i, {j})
-        res = res - apply_omega(I, i, j).scale(rest).scale(inv2)
-    return res.reduce_mod(inst.ctx.modulus)
+        r = {mono: -inv2 * c for mono, c in I[a].terms.items()}
+        for mono, c in I[k].terms.items():
+            e = mono[a]
+            r[mono] = r.get(mono, 0) + (e + inv2) * c
+            if e:
+                down = list(mono)
+                down[a] -= 1
+                down[k] += 1
+                key = tuple(down)
+                r[key] = r.get(key, 0) - e * c
+        r = _reduce(r, m)
+        if r:
+            pairs[k] = r
+    dS = I.sum_entries().diff_index(a).reduce_mod(m).terms
+    if not pairs and not dS:
+        return PolyVector.zero(n, I.vars)
+
+    comps = [{} for _ in range(n)]
+    for k, r in pairs.items():
+        for j in range(n):
+            if j not in (a, k):
+                r = _times_difference(r, a, j)
+        comps[k] = r
+    lead = dS
+    for j in range(n):
+        if j != a:
+            lead = _times_difference(lead, a, j)
+    for comp in comps:
+        for mono, c in comp.items():
+            lead[mono] = lead.get(mono, 0) - c
+    comps[a] = lead
+    return PolyVector([Polynomial(I.vars, _reduce(c, m)) for c in comps])
 
 
 @dataclass
@@ -155,15 +213,6 @@ def _first_term(vec: PolyVector):
     return None
 
 
-def resolve_workers(workers: int | None) -> int:
-    if workers is not None:
-        return max(1, workers)
-    env = os.environ.get("KZ_PADIC_WORKERS")
-    if env:
-        return max(1, int(env))
-    return os.cpu_count() or 1
-
-
 def _distinct_point(rng: random.Random, inst: KZInstance) -> list:
     """A point with pairwise distinct coordinates mod p (cleared factor a unit)."""
     p, m = inst.ctx.p, inst.ctx.modulus
@@ -171,22 +220,13 @@ def _distinct_point(rng: random.Random, inst: KZInstance) -> list:
     return [r + p * rng.randrange(m // p) for r in residues]
 
 
-def verify_solution(I: PolyVector, inst: KZInstance, workers: int | None = 1,
-                    point_checks: int = 4, seed: int = 0) -> SolutionCheck:
-    """Check the sum constraint and every cleared equation residual mod p**s.
-
-    Residuals for distinct equations are independent; with ``workers`` > 1
-    they are computed on a thread pool and merged by equation index.
-    """
+def verify_solution(I: PolyVector, inst: KZInstance, point_checks: int = 4,
+                    seed: int = 0) -> SolutionCheck:
+    """Check the sum constraint and every cleared equation residual mod p**s."""
     m = inst.ctx.modulus
     sum_ok = I.sum_entries().reduce_mod(m).is_zero()
-    nworkers = resolve_workers(workers)
     indices = range(1, inst.n + 1)
-    if nworkers > 1:
-        with ThreadPoolExecutor(max_workers=nworkers) as pool:
-            residues = list(pool.map(lambda i: kz_residue(I, i, inst), indices))
-    else:
-        residues = [kz_residue(I, i, inst) for i in indices]
+    residues = [kz_residue(I, i, inst) for i in indices]
 
     equations = [r.is_zero() for r in residues]
     first_failure = None

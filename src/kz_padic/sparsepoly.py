@@ -440,22 +440,28 @@ def product_power_slice(exponents, k: int) -> dict:
 
 
 def slice_size(exponents, k: int) -> int:
-    """Number of tuples enumerated by ``product_power_slice`` (cost estimate)."""
+    """Number of tuples enumerated by ``product_power_slice`` (cost estimate).
+
+    Inclusion-exclusion over the caps: with T = sum(E) - k and n factors,
+        sum over S of (-1)**|S| * C(T - sum_{i in S}(E_i + 1) + n - 1, n - 1),
+    terms with a negative top argument counting 0.  The signed shifts are
+    the terms of prod_i (1 - X**(E_i + 1)), so equal caps share one term.
+    """
     exponents = tuple(exponents)
     total = sum(exponents) - k
     if k < 0 or total < 0:
         return 0
-    # dynamic programming on bounded compositions
-    counts = {0: 1}
+    n = len(exponents)
+    if n == 0:
+        return 1                        # total == 0 here: the empty tuple
+    shifts = {0: 1}
     for cap in exponents:
-        nxt: dict = {}
-        for t, ways in counts.items():
-            for d in range(0, cap + 1):
-                if t + d > total:
-                    break
-                nxt[t + d] = nxt.get(t + d, 0) + ways
-        counts = nxt
-    return counts.get(total, 0)
+        nxt = dict(shifts)
+        for t, c in shifts.items():
+            nxt[t + cap + 1] = nxt.get(t + cap + 1, 0) - c
+        shifts = nxt
+    return sum(c * math.comb(total - t + n - 1, n - 1)
+               for t, c in shifts.items() if t <= total)
 
 
 # -- modulus context ----------------------------------------------------------

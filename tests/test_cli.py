@@ -136,3 +136,93 @@ def test_missing_converge_params_is_usage_error():
     with pytest.raises(SystemExit) as err:
         run(["converge", "--p", 5])
     assert err.value.code == 2
+
+
+def test_level_r_artifact_verifies_at_its_level(tmp_path):
+    sol = tmp_path / "sol.json"
+    rep = tmp_path / "rep.json"
+    assert run(["gen", "--p", 5, "--s", 2, "--n", 3, "--l", 1, "--r", 1, "--out", sol]) == 0
+    assert run(["verify", "--in", sol, "--out", rep]) == 0
+    report = json.loads(rep.read_text())
+    assert report["pass"] and report["params"]["r"] == 1
+
+
+def test_corrupted_level_r_artifact_fails(tmp_path):
+    sol = tmp_path / "sol.json"
+    rep = tmp_path / "rep.json"
+    run(["gen", "--p", 5, "--s", 2, "--n", 3, "--l", 1, "--r", 1, "--out", sol])
+    data = json.loads(sol.read_text())
+    entries = data["vector"]["entries"]
+    mono = tuple(entries[0][0]["e"])
+    for slot, delta in ((0, 1), (1, -1)):      # keeps the coordinate sum
+        terms = {tuple(t["e"]): int(t["c"]) for t in entries[slot]}
+        terms[mono] = terms.get(mono, 0) + delta
+        entries[slot] = [{"e": list(e), "c": str(c)} for e, c in sorted(terms.items()) if c]
+    sol.write_text(json.dumps(data))
+    assert run(["verify", "--in", sol, "--out", rep]) == 1
+    report = json.loads(rep.read_text())
+    assert report["sum_ok"] and not report["pass"]
+
+
+def test_verify_parameters_at_level_r(tmp_path):
+    rep = tmp_path / "rep.json"
+    assert run(["verify", "--p", 5, "--s", 2, "--n", 3, "--l", 1, "--r", 1,
+                "--out", rep]) == 0
+    assert json.loads(rep.read_text())["params"]["r"] == 1
+
+
+def test_level_outside_range_is_usage_error(tmp_path):
+    sol = tmp_path / "sol.json"
+    run(["gen", "--p", 5, "--s", 2, "--n", 3, "--l", 1, "--out", sol])
+    data = json.loads(sol.read_text())
+    data["r"] = 3
+    sol.write_text(json.dumps(data))
+    for argv in (["verify", "--in", sol],
+                 ["verify", "--p", 5, "--s", 2, "--n", 3, "--l", 1, "--r", 3]):
+        with pytest.raises(SystemExit) as err:
+            run(argv)
+        assert err.value.code == 2
+
+
+def test_artifact_without_level_is_usage_error(tmp_path):
+    sol = tmp_path / "sol.json"
+    run(["gen", "--p", 5, "--s", 1, "--n", 3, "--l", 1, "--out", sol])
+    data = json.loads(sol.read_text())
+    del data["r"]
+    sol.write_text(json.dumps(data))
+    with pytest.raises(SystemExit) as err:
+        run(["verify", "--in", sol])
+    assert err.value.code == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["gen", "--p", 5, "--s", 2, "--n", 3],
+    ["verify", "--p", 5, "--n", 3, "--l", 1],
+    ["asympt", "--p", 5, "--s", 1, "--l", 1],
+    ["cartier", "--n", 3],
+])
+def test_missing_option_is_usage_error(argv, capsys):
+    with pytest.raises(SystemExit) as err:
+        run(argv)
+    assert err.value.code == 2
+    assert "is required" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--p", 5, "--s", 2, "--n", 3, "--l", 5],
+    ["gen", "--p", 5, "--s", 2, "--n", 3, "--l", 0],
+    ["verify", "--p", 5, "--s", 1, "--n", 3, "--l", 2, "--mvec", "2,2,2"],
+])
+def test_zero_vector_is_usage_error(argv):
+    # outside l = 1..g the minimal exponent vector gives the zero vector,
+    # which would pass every check vacuously
+    with pytest.raises(SystemExit) as err:
+        run(argv)
+    assert err.value.code == 2
+
+
+def test_desk_guard_refuses_before_enumerating():
+    # the guard counts the tuples in closed form, so the refusal is immediate
+    with pytest.raises(SystemExit) as err:
+        run(["gen", "--p", 5, "--s", 9, "--n", 5, "--l", 1])
+    assert err.value.code == 2

@@ -1,7 +1,9 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from kz_padic import kz
 from kz_padic.kz import (
     KZInstance,
     apply_omega,
@@ -142,14 +144,6 @@ def test_linear_combination_verifies():
     assert verify_solution(combo, inst).passed
 
 
-def test_workers_do_not_change_the_answer():
-    inst = KZInstance(3, ModulusContext(5, 2))
-    rec = extract_solution(inst)
-    seq = verify_solution(rec.vector, inst, workers=1)
-    par = verify_solution(rec.vector, inst, workers=3)
-    assert seq.to_json() == par.to_json()
-
-
 @pytest.mark.parametrize("p,s,n,mvec", [
     (5, 1, 3, (2, 2, 2)),
     (7, 1, 3, (3, 3, 3)),
@@ -165,19 +159,146 @@ def test_master_identities(p, s, n, mvec):
     assert check.passed
 
 
-def test_worker_resolution(monkeypatch):
-    from kz_padic.kz import resolve_workers
-
-    monkeypatch.setenv("KZ_PADIC_WORKERS", "3")
-    assert resolve_workers(None) == 3
-    assert resolve_workers(2) == 2
-    monkeypatch.delenv("KZ_PADIC_WORKERS")
-    assert resolve_workers(None) >= 1
-
-
 def test_instance_validation():
     with pytest.raises(ValueError):
         KZInstance(4, ModulusContext(5, 1))
     with pytest.raises(ValueError):
         KZInstance(7, ModulusContext(5, 1))  # p < n
     KZInstance(5, ModulusContext(5, 1))      # p = n is allowed
+
+
+# -- the factored residual against the expanded formula ------------------------
+
+GRID = [(5, 1, 3), (5, 2, 3), (5, 3, 3), (7, 1, 3), (7, 2, 3),
+        (5, 1, 5), (5, 2, 5), (7, 1, 5)]
+# (5,2,5,l=1) is left out: its expanded residual alone takes over 20 s.
+GRID_SOLUTIONS = [(p, s, n, l) for p, s, n in GRID for l in range(1, (n - 1) // 2 + 1)
+                  if (p, s, n, l) != (5, 2, 5, 1)]
+
+
+def expanded_residue(I, i, inst):
+    """The oracle: L_i dI/dz_i - inv2 sum_{j != i} R_ij Omega_ij I mod p**s, expanded."""
+    zv = I.vars
+    z = [Polynomial.variable(v, zv) for v in zv]
+
+    def differences(skip):
+        out = Polynomial.one(zv)
+        for j in range(1, inst.n + 1):
+            if j != i and j != skip:
+                out = out * (z[i - 1] - z[j - 1])
+        return out
+
+    lead = differences(None)
+    res = PolyVector([lead * e.diff(f"z{i}") for e in I.entries])
+    for j in range(1, inst.n + 1):
+        if j != i:
+            res = res - apply_omega(I, i, j).scale(differences(j)).scale(inst.ctx.inv2)
+    return res.reduce_mod(inst.ctx.modulus)
+
+
+def assert_matches_oracle(vec, inst, monkeypatch):
+    """kz_residue equals the oracle on every equation, and so do the verify payloads."""
+    oracle = {}
+
+    def recording(I, i, inst_):
+        oracle[i] = expanded_residue(I, i, inst_)
+        return oracle[i]
+
+    with monkeypatch.context() as patch:
+        patch.setattr(kz, "kz_residue", recording)
+        expected = verify_solution(vec, inst).to_json()
+    for i in range(1, inst.n + 1):
+        assert kz_residue(vec, i, inst) == oracle[i], f"equation {i}"
+    assert verify_solution(vec, inst).to_json() == expected
+    return expected
+
+
+@pytest.mark.parametrize("p,s,n,l", GRID_SOLUTIONS)
+def test_residue_matches_oracle_on_grid(p, s, n, l, monkeypatch):
+    inst = KZInstance(n, ModulusContext(p, s))
+    payload = assert_matches_oracle(extract_solution(inst, None, l).vector, inst, monkeypatch)
+    assert payload["pass"]
+
+
+def sum_preserving_corruption(vec, rng):
+    """+1 on I_1 and -1 on I_2 at one monomial of their support: the sum is kept."""
+    first, second = dict(vec[0].terms), dict(vec[1].terms)
+    mono = rng.choice(sorted(set(first) | set(second)))
+    first[mono] = first.get(mono, 0) + 1
+    second[mono] = second.get(mono, 0) - 1
+    return PolyVector([Polynomial(vec.vars, first), Polynomial(vec.vars, second),
+                       *vec.entries[2:]])
+
+
+@pytest.mark.parametrize("p,s,n,l", GRID_SOLUTIONS)
+def test_residue_matches_oracle_on_corrupted_copies(p, s, n, l, monkeypatch):
+    inst = KZInstance(n, ModulusContext(p, s))
+    vec = extract_solution(inst, None, l).vector
+    rng = random.Random(f"{p}-{s}-{n}-{l}")
+    corrupted = sum_preserving_corruption(vec, rng)
+    payload = assert_matches_oracle(corrupted, inst, monkeypatch)
+    assert payload["sum_ok"] and not payload["pass"]
+
+    bumped = [dict(e.terms) for e in vec.entries]
+    slot = rng.randrange(n)
+    mono = rng.choice(sorted(bumped[slot]))
+    bumped[slot][mono] += 1
+    payload = assert_matches_oracle(
+        PolyVector([Polynomial(vec.vars, t) for t in bumped]), inst, monkeypatch)
+    assert not payload["sum_ok"] and not payload["pass"]
+
+
+def test_residue_when_only_the_sum_derivative_survives(monkeypatch):
+    # I = (0, (z1-z2)**M, (z1-z3)**M) with M = -1/2 mod 5: every pair residual
+    # r_1k vanishes, but dS/dz_1 does not, so equation 1 fails in component 1
+    inst = inst513()
+    z1, z2, z3 = (Polynomial.variable(v, inst.zvars) for v in inst.zvars)
+    M = inst.ctx.half
+    vec = PolyVector([Polynomial.zero(inst.zvars), (z1 - z2) ** M, (z1 - z3) ** M])
+    res = kz_residue(vec, 1, inst)
+    assert not res[0].is_zero() and res[1].is_zero() and res[2].is_zero()
+    payload = assert_matches_oracle(vec, inst, monkeypatch)
+    assert payload["equations"][0] is False
+
+
+@st.composite
+def sparse_vectors(draw):
+    """A random sparse vector over z_1..z_n, p = 5; half of them have entries summing to 0."""
+    n = draw(st.sampled_from([3, 5]))
+    s = draw(st.sampled_from([1, 2]))
+    monos = st.tuples(*[st.integers(0, 3)] * n)
+    entries = [draw(st.dictionaries(monos, st.integers(-60, 60), max_size=6))
+               for _ in range(n)]
+    if draw(st.booleans()):
+        last = {}
+        for entry in entries[:-1]:
+            for mono, c in entry.items():
+                last[mono] = last.get(mono, 0) - c
+        entries[-1] = last
+    zv = z_variables(n)
+    return KZInstance(n, ModulusContext(5, s)), PolyVector([Polynomial(zv, e) for e in entries])
+
+
+@settings(max_examples=60, deadline=None)
+@given(sparse_vectors())
+def test_residue_matches_oracle_on_random_vectors(case):
+    inst, vec = case
+    for i in range(1, inst.n + 1):
+        assert kz_residue(vec, i, inst) == expanded_residue(vec, i, inst)
+
+
+@pytest.mark.parametrize("l", [1, 2, 3])
+def test_genus_three_solutions_verify(l):
+    inst = KZInstance(7, ModulusContext(7, 1))
+    rec = extract_solution(inst, None, l)
+    assert rec.homogeneous() and not rec.vector.is_zero()
+    check = verify_solution(rec.vector, inst)
+    assert check.passed and check.equations == [True] * 7
+
+
+def test_residue_rejects_bad_input():
+    inst = inst513()
+    with pytest.raises(ValueError):
+        kz_residue(PolyVector.zero(3, inst.zvars), 0, inst)
+    with pytest.raises(ValueError):
+        kz_residue(PolyVector.zero(3, ("x", "z1", "z2")), 1, inst)

@@ -182,6 +182,15 @@ def test_bounded_compositions_counts():
     assert list(bounded_compositions(0, (2, 2))) == [(0, 0)]
 
 
+def test_slice_size_counts_bounded_compositions():
+    for caps in [(), (0,), (3,), (1, 4), (2, 0, 5), (3, 1, 4, 2), (5, 5, 1, 0, 2)]:
+        for k in range(-1, sum(caps) + 2):
+            total = sum(caps) - k
+            want = (sum(1 for _ in bounded_compositions(total, caps))
+                    if k >= 0 and total >= 0 else 0)
+            assert slice_size(caps, k) == want, (caps, k)
+
+
 def test_json_roundtrip():
     rng = random.Random(8)
     f = random_poly(rng, XZ)
