@@ -18,7 +18,14 @@ from dataclasses import dataclass
 
 from .kz import KZInstance
 from .padic import PAdic, binom_half_fraction
-from .sparsepoly import Polynomial, PolyVector, product_power_slice, u_variables
+from .sparsepoly import (
+    Polynomial,
+    PolyVector,
+    bounded_compositions,
+    product_power_slice,
+    slice_size,
+    u_variables,
+)
 from .solutions import DESK_TUPLE_LIMIT, DeskEnvelopeError, solution_sign
 
 
@@ -225,12 +232,42 @@ class SeriesTruncation:
         }
 
 
-def _truncated_index_iter(n: int, M: int):
-    from .sparsepoly import bounded_compositions
+def _block_caps(n: int, l: int, M: int) -> tuple:
+    """Caps of the left block a_1..a_{n-2l} and of the right block after it."""
+    block = n - 2 * l
+    return (M,) * block, (M,) * (n - 1 - block)
 
-    caps = (M,) * (n - 1)
-    for total in range(0, (n - 1) * M + 1):
-        yield from bounded_compositions(total, caps)
+
+def truncation_index_count(n: int, l: int, M: int) -> int:
+    """Number of indices ``truncated_expansion`` enumerates, in closed form.
+
+    With left and right block sums L and R, an index lies on hyperplane A
+    when L = R + l - 1 and on B when L = R + l, so the count is
+        sum_R C_right(R) * (C_left(R + l - 1) + C_left(R + l)),
+    where C_caps(t) counts the tuples under the caps with sum t.
+    """
+    left, right = _block_caps(n, l, M)
+
+    def count(caps, total):
+        return slice_size(caps, sum(caps) - total)
+
+    return sum(count(right, r) * (count(left, r + l - 1) + count(left, r + l))
+               for r in range(sum(right) + 1))
+
+
+def _truncated_index_iter(n: int, l: int, M: int):
+    """Indices on the two hyperplanes ``index_class`` accepts, with their tag.
+
+    Each right block is paired with the left blocks whose sum puts the
+    index on A or on B; tuples off both hyperplanes are never formed.
+    """
+    left_caps, right_caps = _block_caps(n, l, M)
+    for r in range(sum(right_caps) + 1):
+        rights = list(bounded_compositions(r, right_caps))
+        for tag, offset in (("A", l - 1), ("B", l)):
+            for left in bounded_compositions(r + offset, left_caps):
+                for right in rights:
+                    yield left + right, tag
 
 
 def _series_index_iter(n: int, l: int, cutoff: int):
@@ -241,8 +278,6 @@ def _series_index_iter(n: int, l: int, cutoff: int):
     visible tuples of bounded total degree yields exactly the terms a series
     truncated at that degree can contain.
     """
-    from .sparsepoly import bounded_compositions
-
     block = n - 2 * l
     caps = (cutoff,) * (n - 2)
     for total in range(0, cutoff + 1):
@@ -264,18 +299,15 @@ def truncated_expansion(inst: KZInstance, l: int) -> SeriesTruncation:
     """
     n, M = inst.n, inst.ctx.half
     _check_index(n, l)
-    if (M + 1) ** (n - 1) > DESK_TUPLE_LIMIT:
+    if truncation_index_count(n, l, M) > DESK_TUPLE_LIMIT:
         raise DeskEnvelopeError("truncation index range above desk budget")
+    base = [math.comb(M, e) for e in range(M + 1)]
+    special = [math.comb(M - 1, e) for e in range(M + 1)]
     coeffs: dict = {}
-    for a in _truncated_index_iter(n, M):
-        tag = index_class(n, l, a)
-        if tag is None:
-            continue
-        base = [math.comb(M, e) for e in a]
-        special = [math.comb(M - 1, e) for e in a]
+    for a, tag in _truncated_index_iter(n, l, M):
         prod_all = 1
-        for b in base:
-            prod_all *= b
+        for e in a:
+            prod_all *= base[e]
         vec = [0] * n
         for j in components_of_class(n, l, tag):
             if j == n:
@@ -283,7 +315,8 @@ def truncated_expansion(inst: KZInstance, l: int) -> SeriesTruncation:
             else:
                 # binom(M, a_j) > 0 throughout the index range, so the swap
                 # of the distinguished factor is an exact division
-                vec[j - 1] = prod_all // base[j - 1] * special[j - 1]
+                e = a[j - 1]
+                vec[j - 1] = prod_all // base[e] * special[e]
         if any(vec):
             coeffs[a] = tuple(vec)
     return SeriesTruncation(n, l, "truncated", inst.ctx.p, None, None, coeffs)
@@ -370,31 +403,19 @@ def x_dictionary(n: int, l: int) -> list:
     return out
 
 
-def component_u_polynomials(st: SeriesTruncation) -> list:
-    """Per-component maps u-exponent -> coefficient (coefficients summed)."""
+def component_polynomials(st: SeriesTruncation, monomial) -> list:
+    """Per-component maps exponent -> coefficient (coefficients summed).
+
+    ``monomial(n, l, j, a)`` gives the exponents of index a in component j:
+    ``u_monomial`` for the u-form, ``x_monomial`` for the x-form.
+    """
     out = [dict() for _ in range(st.n)]
     for a, vec in st.coeffs.items():
         for j in range(1, st.n + 1):
             c = vec[j - 1]
             if (isinstance(c, int) and c == 0) or (isinstance(c, PAdic) and c.residue == 0):
                 continue
-            key = u_monomial(st.n, st.l, j, a)
-            if key in out[j - 1]:
-                out[j - 1][key] = out[j - 1][key] + c
-            else:
-                out[j - 1][key] = c
-    return out
-
-
-def component_x_polynomials(st: SeriesTruncation) -> list:
-    """Per-component maps x-exponent (over x_2..x_{n-1}) -> coefficient."""
-    out = [dict() for _ in range(st.n)]
-    for a, vec in st.coeffs.items():
-        for j in range(1, st.n + 1):
-            c = vec[j - 1]
-            if (isinstance(c, int) and c == 0) or (isinstance(c, PAdic) and c.residue == 0):
-                continue
-            key = x_monomial(st.n, st.l, j, a)
+            key = monomial(st.n, st.l, j, a)
             if key in out[j - 1]:
                 out[j - 1][key] = out[j - 1][key] + c
             else:
@@ -420,7 +441,7 @@ def factorization_report(inst: KZInstance, l: int) -> FactorizationReport:
     hat = hat_solution(inst, l)
     st = truncated_expansion(inst, l)
     pre = prefactor_truncated(inst, l)
-    upolys = component_u_polynomials(st)
+    upolys = component_polynomials(st, u_monomial)
     uv = u_variables(inst.n)
     first = None
     ok = True
@@ -532,20 +553,21 @@ class QForm:
 def q_truncated(inst: KZInstance, l: int) -> QForm:
     """Exact x-coordinate form of the level-s truncation."""
     st = truncated_expansion(inst, l)
-    return QForm(inst.n, l, "truncated", inst.ctx.p, None, component_x_polynomials(st))
+    return QForm(inst.n, l, "truncated", inst.ctx.p, None,
+                 component_polynomials(st, x_monomial))
 
 
 def q_series(p: int, n: int, l: int, cutoff: int, precision: int) -> QForm:
     """p-adic x-coordinate form of the limiting series up to total degree cutoff."""
     st = limit_series(p, n, l, cutoff, precision)
-    return QForm(n, l, "series", p, precision, component_x_polynomials(st))
+    return QForm(n, l, "series", p, precision, component_polynomials(st, x_monomial))
 
 
 def q_consistency_report(inst: KZInstance, l: int) -> bool:
     """The Q monomials must reproduce the u-form under the x(u) dictionary."""
     st = truncated_expansion(inst, l)
-    upolys = component_u_polynomials(st)
-    xpolys = component_x_polynomials(st)
+    upolys = component_polynomials(st, u_monomial)
+    xpolys = component_polynomials(st, x_monomial)
     dictionary = x_dictionary(inst.n, l)     # x_1..x_{n-1} as u-exponents
     for j in range(inst.n):
         rebuilt: dict = {}

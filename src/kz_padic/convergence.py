@@ -16,16 +16,15 @@ from fractions import Fraction
 
 from .asymptotic import (
     coefficient_difference_bound,
-    component_u_polynomials,
+    component_polynomials,
+    components_of_class,
     constant_vector,
+    index_class,
     limit_series,
-    q_series,
-    q_truncated,
     series_constant_vector,
     truncated_expansion,
+    u_monomial,
     x_monomial,
-    index_class,
-    components_of_class,
 )
 from .kz import KZInstance
 from .padic import (
@@ -156,30 +155,32 @@ def _as_padic(c, p: int, N: int) -> PAdic:
 
 
 def evaluate_poly_dict(poly: dict, point, p: int, N: int) -> PAdic:
-    """Evaluate an exponent->coefficient map at a tuple of p-adic values."""
-    if not poly:
-        return PAdic(p, N, 0)
-    maxes = [0] * len(point)
-    for exps in poly:
-        for i, e in enumerate(exps):
-            maxes[i] = max(maxes[i], e)
+    """Evaluate an exponent->coefficient map at a tuple of p-adic values.
+
+    Coefficients are ints or ``PAdic`` values at precision N.  The work is
+    done on residues mod p**N: one table of powers per coordinate, each
+    term reduced as it is formed.  Only the returned value is a ``PAdic``.
+    """
+    m = p ** N
+    tops = [max(col) for col in zip(*poly)]
     powers = []
-    for v, top in zip(point, maxes):
-        row = [PAdic(p, N, 1)]
+    for v, top in zip(point, tops):
+        x = v.residue
+        row = [1]
         for _ in range(top):
-            row.append(row[-1] * v)
+            row.append(row[-1] * x % m)
         powers.append(row)
-    total = PAdic(p, N, 0)
+    total = 0
     for exps, coeff in poly.items():
-        term = _as_padic(coeff, p, N)
-        for i, e in enumerate(exps):
+        term = coeff.residue if isinstance(coeff, PAdic) else coeff
+        for row, e in zip(powers, exps):
             if e:
-                term = term * powers[i][e]
-        total = total + term
-    return total
+                term = term * row[e] % m
+        total += term
+    return PAdic(p, N, total)
 
 
-def tail_floor(n: int, l: int, cutoff: int) -> int:
+def tail_floor(cutoff: int) -> int:
     """Valuation floor of the discarded series tail on radius-1/p samples.
 
     The series is enumerated by visible monomial degree, so every discarded
@@ -211,7 +212,7 @@ def difference_envelope(p: int, s: int, n: int, l: int, index_sets,
                 deg = sum(x_monomial(n, l, j, a))
                 bound = deg + coefficient_difference_bound(p, s, n, l, a, j)
                 best = bound if best is None else min(best, bound)
-    floors = [tail_floor(n, l, cutoff)]
+    floors = [tail_floor(cutoff)]
     if best is not None:
         floors.append(best)
     if with_prefactor:
@@ -269,6 +270,11 @@ def _vector_val(diffs) -> int:
     return min(d.norm_exponent() for d in diffs)
 
 
+def _evaluate_at(polys, points, p: int, N: int) -> list:
+    """Per point, the values of every component polynomial there."""
+    return [[evaluate_poly_dict(poly, pt, p, N) for poly in polys] for pt in points]
+
+
 def converge_T_n3(p: int, s_max: int, count: int, seed: int, N: int,
                   beta: int = 1) -> ConvergenceReport:
     """n = 3 protocol: truncations against the series, then with prefactors.
@@ -287,11 +293,8 @@ def converge_T_n3(p: int, s_max: int, count: int, seed: int, N: int,
 
     cutoff = max((p ** s_max - 1) // 2, N)  # discarded tail sits below precision
     series = limit_series(p, 3, 1, cutoff, N)
-    series_polys = component_u_polynomials(series)
-    series_vals = [
-        [evaluate_poly_dict(poly, (PAdic(p, N, 0), u2), p, N) for poly in series_polys]
-        for u2 in u2s
-    ]
+    points = [(PAdic(p, N, 0), u2) for u2 in u2s]
+    series_vals = _evaluate_at(component_polynomials(series, u_monomial), points, p, N)
     const_series = series_constant_vector(p, 3, 1, N)
 
     prev_plain = prev_full = None
@@ -299,7 +302,7 @@ def converge_T_n3(p: int, s_max: int, count: int, seed: int, N: int,
     for s in range(1, s_max + 1):
         inst = KZInstance(3, ModulusContext(p, s))
         trunc = truncated_expansion(inst, 1)
-        tpolys = component_u_polynomials(trunc)
+        trunc_vals = _evaluate_at(component_polynomials(trunc, u_monomial), points, p, N)
         envelope = difference_envelope(
             p, s, 3, 1, [trunc.coeffs.keys(), series.coeffs.keys()], cutoff, False)
         bound_full = min(envelope, s + 1)
@@ -307,8 +310,7 @@ def converge_T_n3(p: int, s_max: int, count: int, seed: int, N: int,
         # truncation vs series, no prefactor
         plain_vals = []
         plain_ok = True
-        for u2, svals in zip(u2s, series_vals):
-            tvals = [evaluate_poly_dict(poly, (PAdic(p, N, 0), u2), p, N) for poly in tpolys]
+        for tvals, svals in zip(trunc_vals, series_vals):
             v = _vector_val([a - b for a, b in zip(tvals, svals)])
             plain_vals.append(v)
             if v < envelope:
@@ -326,11 +328,10 @@ def converge_T_n3(p: int, s_max: int, count: int, seed: int, N: int,
         full_vals = []
         full_ok = True
         M = (p ** s - 1) // 2
-        for u1, u2, svals in zip(u1s, u2s, series_vals):
+        for u1, tvals, svals in zip(u1s, trunc_vals, series_vals):
             lhs_scale = u1 ** (M - 1)
             root = hensel_sqrt(u1, beta)
             rhs_scale = omega_beta * (u1 * root).inverse()
-            tvals = [evaluate_poly_dict(poly, (PAdic(p, N, 0), u2), p, N) for poly in tpolys]
             diffs = [lhs_scale * tv - rhs_scale * sv for tv, sv in zip(tvals, svals)]
             v = _vector_val(diffs)
             full_vals.append(v)
@@ -369,30 +370,24 @@ def converge_Q_general(p: int, n: int, l: int, s_max: int, count: int, seed: int
     omega_beta = teichmuller(PAdic(p, N, beta))
 
     cutoff = max((p ** s_max - 1) // 2, N)  # discarded tail sits below precision
-    qs = q_series(p, n, l, cutoff, N)
-    series_vals = [
-        [evaluate_poly_dict(poly, pt, p, N) for poly in qs.polys]
-        for pt in points
-    ]
-    # q_series keeps per-component monomials; the raw index family drives the bound
-    raw_series = limit_series(p, n, l, cutoff, N)
+    series = limit_series(p, n, l, cutoff, N)
+    series_vals = _evaluate_at(component_polynomials(series, x_monomial), points, p, N)
 
     prev = None
     strict = True
     for s in range(1, s_max + 1):
         inst = KZInstance(n, ModulusContext(p, s))
-        qt = q_truncated(inst, l)
-        raw_trunc = truncated_expansion(inst, l)
+        trunc = truncated_expansion(inst, l)
+        trunc_vals = _evaluate_at(component_polynomials(trunc, x_monomial), points, p, N)
         bound = difference_envelope(
-            p, s, n, l, [raw_trunc.coeffs.keys(), raw_series.coeffs.keys()], cutoff, True)
+            p, s, n, l, [trunc.coeffs.keys(), series.coeffs.keys()], cutoff, True)
         M = (p ** s - 1) // 2
 
         vals = []
         ok = True
-        for x1, pt, svals in zip(x1s, points, series_vals):
+        for x1, tvals, svals in zip(x1s, trunc_vals, series_vals):
             lhs_scale = x1 ** M
             rhs_scale = omega_beta * hensel_sqrt(x1, beta).inverse()
-            tvals = [evaluate_poly_dict(poly, pt, p, N) for poly in qt.polys]
             diffs = [lhs_scale * tv - rhs_scale * sv for tv, sv in zip(tvals, svals)]
             v = _vector_val(diffs)
             vals.append(v)

@@ -182,10 +182,6 @@ def teichmuller(x: PAdic) -> PAdic:
     return PAdic(x.p, x.N, t)
 
 
-def teichmuller_residue(p: int, N: int, a: int) -> int:
-    return teichmuller(PAdic(p, N, a)).residue
-
-
 def hensel_sqrt(x: PAdic, branch: int) -> PAdic:
     """Square root of x with result == branch mod p, by Newton iteration.
 

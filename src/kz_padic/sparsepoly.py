@@ -95,11 +95,6 @@ class Polynomial:
     def coefficient(self, mono: Monomial) -> int:
         return self.terms.get(tuple(mono), 0)
 
-    def total_degree(self) -> int:
-        if not self.terms:
-            return -1
-        return max(sum(m) for m in self.terms)
-
     def degree_in(self, name: str) -> int:
         if not self.terms:
             return -1

@@ -1,11 +1,13 @@
+import itertools
 import math
 from fractions import Fraction
 
 import pytest
 
+from kz_padic import asymptotic
 from kz_padic.asymptotic import (
-    component_u_polynomials,
-    component_x_polynomials,
+    component_polynomials,
+    components_of_class,
     constant_vector,
     difference_form,
     factorization_report,
@@ -22,17 +24,38 @@ from kz_padic.asymptotic import (
     translation_membership,
     truncated_expansion,
     truncation_correspondence,
+    truncation_index_count,
     u_monomial,
     w_variables,
     x_dictionary,
+    x_monomial,
 )
 from kz_padic.kz import KZInstance, verify_solution
 from kz_padic.padic import PAdic
+from kz_padic.solutions import DeskEnvelopeError
 from kz_padic.sparsepoly import ModulusContext, Polynomial, u_variables
 
 
 def make(p, s, n):
     return KZInstance(n, ModulusContext(p, s))
+
+
+def box_indices(n, l, M):
+    """Oracle: the whole index box [0, M]**(n-1), filtered by ``index_class``."""
+    tagged = ((a, index_class(n, l, a)) for a in itertools.product(range(M + 1), repeat=n - 1))
+    return {a: tag for a, tag in tagged if tag is not None}
+
+
+def box_coefficients(n, l, M, indices):
+    """Oracle coefficients: component j multiplies binom(M - [i = j], a_i) over i."""
+    coeffs = {}
+    for a, tag in indices.items():
+        vec = [0] * n
+        for j in components_of_class(n, l, tag):
+            vec[j - 1] = math.prod(math.comb(M - (i == j), e) for i, e in enumerate(a, 1))
+        if any(vec):
+            coeffs[a] = tuple(vec)
+    return coeffs
 
 
 def test_difference_form_against_full_expansion():
@@ -158,6 +181,41 @@ def test_truncation_indices_satisfy_constraints():
         assert st.constraints_ok()
 
 
+@pytest.mark.parametrize("p,s,n", [(p, s, n) for p in (5, 7) for s in (1, 2) for n in (3, 5)])
+def test_hyperplane_enumeration_equals_filtered_box(p, s, n):
+    inst = make(p, s, n)
+    M = inst.ctx.half
+    for l in range(1, inst.g + 1):
+        box = box_indices(n, l, M)
+        walked = list(asymptotic._truncated_index_iter(n, l, M))
+        assert len(walked) == len(box) == truncation_index_count(n, l, M)
+        assert dict(walked) == box
+        assert truncated_expansion(inst, l).coeffs == box_coefficients(n, l, M, box)
+
+
+def test_desk_guard_counts_hyperplane_tuples():
+    # (p, s, n, l) = (5, 3, 5, 1): the box has 63**4 tuples, the hyperplanes 89,436
+    inst = make(5, 3, 5)
+    M = inst.ctx.half
+    assert (M + 1) ** 4 > asymptotic.DESK_TUPLE_LIMIT
+    assert truncation_index_count(5, 1, M) == 89_436
+    assert sum(1 for _ in asymptotic._truncated_index_iter(5, 1, M)) == 89_436
+    st = truncated_expansion(inst, 1)
+    assert st.constraints_ok() and len(st.coeffs) <= 89_436
+
+
+def test_desk_guard_refuses_before_enumerating(monkeypatch):
+    inst = make(5, 4, 5)
+    assert truncation_index_count(5, 1, inst.ctx.half) == 10_369_061
+
+    def enumerate_nothing(*args):
+        raise AssertionError("enumerated past the desk guard")
+
+    monkeypatch.setattr(asymptotic, "_truncated_index_iter", enumerate_nothing)
+    with pytest.raises(DeskEnvelopeError):
+        truncated_expansion(inst, 1)
+
+
 def test_limit_series_small_values():
     series = limit_series(5, 3, 1, 4, 8)
     a0 = series.coeffs[(0, 0)]
@@ -232,8 +290,8 @@ def test_q_consistency():
 def test_q_collapses_to_t_for_n3():
     inst = make(5, 1, 3)
     st = truncated_expansion(inst, 1)
-    upolys = component_u_polynomials(st)
-    xpolys = component_x_polynomials(st)
+    upolys = component_polynomials(st, u_monomial)
+    xpolys = component_polynomials(st, x_monomial)
     for j in range(3):
         # u-keys are (0, a); x-keys are (a,)
         assert {k[1:]: v for k, v in upolys[j].items()} == xpolys[j]

@@ -226,3 +226,16 @@ def test_desk_guard_refuses_before_enumerating():
     with pytest.raises(SystemExit) as err:
         run(["gen", "--p", 5, "--s", 9, "--n", 5, "--l", 1])
     assert err.value.code == 2
+
+
+@pytest.mark.slow
+def test_converge_n5_reaches_level_three(tmp_path):
+    # the level-3 truncation is enumerated on its hyperplanes only: the box
+    # of 63**4 indices would be refused by the desk guard
+    rep = tmp_path / "conv.json"
+    code = run(["converge", "--p", 5, "--n", 5, "--l", 1, "--smax", 3, "--prec", 11,
+                "--out", rep])
+    assert code == 0
+    data = json.loads(rep.read_text())
+    assert [r["measured_val"] for r in data["rows"]] == [1, 2, 3]
+    assert data["pass"] and data["disjoint_domains"]["pass"]

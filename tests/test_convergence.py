@@ -2,8 +2,15 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from kz_padic.asymptotic import component_u_polynomials, limit_series, truncated_expansion
+from kz_padic import convergence
+from kz_padic.asymptotic import (
+    component_polynomials,
+    limit_series,
+    truncated_expansion,
+    u_monomial,
+)
 from kz_padic.convergence import (
     DiscSpec,
     check_bin_bound,
@@ -20,6 +27,30 @@ from kz_padic.convergence import (
 from kz_padic.kz import KZInstance
 from kz_padic.padic import PAdic, PrecisionError, int_valuation
 from kz_padic.sparsepoly import ModulusContext
+
+
+def padic_evaluate(poly, point, p, N):
+    """Oracle evaluator: one ``PAdic`` operation per power, term and partial sum."""
+    if not poly:
+        return PAdic(p, N, 0)
+    maxes = [0] * len(point)
+    for exps in poly:
+        for i, e in enumerate(exps):
+            maxes[i] = max(maxes[i], e)
+    powers = []
+    for v, top in zip(point, maxes):
+        row = [PAdic(p, N, 1)]
+        for _ in range(top):
+            row.append(row[-1] * v)
+        powers.append(row)
+    total = PAdic(p, N, 0)
+    for exps, coeff in poly.items():
+        term = coeff if isinstance(coeff, PAdic) else PAdic(p, N, coeff)
+        for i, e in enumerate(exps):
+            if e:
+                term = term * powers[i][e]
+        total = total + term
+    return total
 
 
 def test_sample_disc_determinism_and_membership():
@@ -91,16 +122,16 @@ def test_bin_bound_grids():
 
 
 def test_tail_floor():
-    assert tail_floor(3, 1, 10) == 11
-    assert tail_floor(5, 2, 12) == 13
+    assert tail_floor(10) == 11
+    assert tail_floor(12) == 13
 
 
 def test_series_tail_control():
     # raising the cutoff by one moves evaluations by at most p^-(D+1)
     p, N = 5, 10
     for n, l, D in [(3, 1, 4), (5, 1, 3), (5, 2, 3)]:
-        small = component_u_polynomials(limit_series(p, n, l, D, N))
-        large = component_u_polynomials(limit_series(p, n, l, D + 1, N))
+        small = component_polynomials(limit_series(p, n, l, D, N), u_monomial)
+        large = component_polynomials(limit_series(p, n, l, D + 1, N), u_monomial)
         samples = [
             tuple(s[k] for s in (sample_disc(p, DiscSpec(0), 6, 20 + i, N)
                                  for i in range(n - 1)))
@@ -122,6 +153,43 @@ def test_evaluate_poly_dict():
     assert evaluate_poly_dict({}, (x,), p, N) == PAdic(p, N, 0)
 
 
+EP, EN = 5, 6
+
+
+@st.composite
+def polys_with_points(draw):
+    width = draw(st.integers(1, 4))
+    residues = st.integers(0, EP ** EN - 1)
+    coeffs = st.one_of(st.integers(-10 ** 40, 10 ** 40),
+                       residues.map(lambda r: PAdic(EP, EN, r)))
+    exps = st.tuples(*[st.integers(0, 7)] * width)
+    poly = draw(st.dictionaries(exps, coeffs, max_size=10))
+    point = tuple(PAdic(EP, EN, draw(residues)) for _ in range(width))
+    return poly, point
+
+
+@settings(max_examples=200, deadline=None)
+@given(polys_with_points())
+@example(({}, (PAdic(EP, EN, 7),)))
+@example(({(0, 0): 3, (0, 2): PAdic(EP, EN, 11), (4, 0): -2}, (PAdic(EP, EN, 0), PAdic(EP, EN, 5))))
+def test_residue_evaluator_matches_padic_oracle(case):
+    poly, point = case
+    assert evaluate_poly_dict(poly, point, EP, EN) == padic_evaluate(poly, point, EP, EN)
+
+
+@pytest.mark.parametrize("n,l", [(3, 1), (5, 1), (5, 2)])
+def test_converge_payloads_match_oracle_evaluator(monkeypatch, n, l):
+    def runs():
+        out = [converge_Q_general(5, n, l, 2, 6, 4, 8).to_json()]
+        if n == 3:
+            out.append(converge_T_n3(5, 2, 6, 4, 8).to_json())
+        return out
+
+    fast = runs()
+    monkeypatch.setattr(convergence, "evaluate_poly_dict", padic_evaluate)
+    assert runs() == fast
+
+
 def test_converge_t_n3_small():
     report = converge_T_n3(5, 2, 12, 0, 9)
     assert report.passed
@@ -141,8 +209,8 @@ def test_zero_point_reduces_to_constant_term():
     # evaluating the truncation-minus-series at u2 = 0 leaves the constant gap
     p, s, N = 5, 2, 9
     inst = KZInstance(3, ModulusContext(p, s))
-    tpolys = component_u_polynomials(truncated_expansion(inst, 1))
-    spolys = component_u_polynomials(limit_series(p, 3, 1, 2 * N + 1, N))
+    tpolys = component_polynomials(truncated_expansion(inst, 1), u_monomial)
+    spolys = component_polynomials(limit_series(p, 3, 1, 2 * N + 1, N), u_monomial)
     zero = PAdic(p, N, 0)
     diffs = []
     for tp, sp in zip(tpolys, spolys):
