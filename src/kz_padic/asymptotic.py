@@ -443,21 +443,15 @@ def factorization_report(inst: KZInstance, l: int) -> FactorizationReport:
     pre = prefactor_truncated(inst, l)
     upolys = component_polynomials(st, u_monomial)
     uv = u_variables(inst.n)
+    rebuilt = PolyVector([Polynomial(uv, {
+        tuple(e + pe for e, pe in zip(exp, pre.exponents)): pre.sign * c
+        for exp, c in upoly.items()
+    }) for upoly in upolys])
+    site = (rebuilt - hat).first_term()
     first = None
-    ok = True
-    for j in range(inst.n):
-        rebuilt = Polynomial(uv, {
-            tuple(e + pe for e, pe in zip(exp, pre.exponents)): pre.sign * c
-            for exp, c in upolys[j].items()
-        })
-        if rebuilt != hat.entries[j]:
-            ok = False
-            if first is None:
-                diff = rebuilt - hat.entries[j]
-                mono = min(diff.terms)
-                first = {"component": j + 1, "monomial": list(mono),
-                         "coefficient": diff.terms[mono]}
-            break
+    if site:
+        comp, mono, coeff = site
+        first = {"component": comp, "monomial": list(mono), "coefficient": coeff}
     cvec = constant_vector(inst, l)
     const_ok = True
     for j in range(inst.n):
@@ -465,7 +459,7 @@ def factorization_report(inst: KZInstance, l: int) -> FactorizationReport:
         got = upolys[j].get(zero_key, 0)
         if got != cvec[j]:
             const_ok = False
-    return FactorizationReport(ok, const_ok, first)
+    return FactorizationReport(site is None, const_ok, first)
 
 
 # -- truncation vs series, index by index ----------------------------------------
@@ -532,36 +526,6 @@ def truncation_correspondence(inst: KZInstance, l: int, D: int) -> Correspondenc
 
 
 # -- x-coordinate forms ------------------------------------------------------------
-
-@dataclass
-class QForm:
-    """x-coordinate form: J = x_1**E * Q(x_2..x_{n-1}) with E = M or -1/2."""
-
-    n: int
-    l: int
-    kind: str
-    p: int
-    precision: int | None
-    polys: list           # per-component dict x-exponent -> coefficient
-
-    def constant_term(self) -> tuple:
-        zero_key = (0,) * (self.n - 2)
-        filler = PAdic(self.p, self.precision, 0) if self.kind == "series" else 0
-        return tuple(poly.get(zero_key, filler) for poly in self.polys)
-
-
-def q_truncated(inst: KZInstance, l: int) -> QForm:
-    """Exact x-coordinate form of the level-s truncation."""
-    st = truncated_expansion(inst, l)
-    return QForm(inst.n, l, "truncated", inst.ctx.p, None,
-                 component_polynomials(st, x_monomial))
-
-
-def q_series(p: int, n: int, l: int, cutoff: int, precision: int) -> QForm:
-    """p-adic x-coordinate form of the limiting series up to total degree cutoff."""
-    st = limit_series(p, n, l, cutoff, precision)
-    return QForm(n, l, "series", p, precision, component_polynomials(st, x_monomial))
-
 
 def q_consistency_report(inst: KZInstance, l: int) -> bool:
     """The Q monomials must reproduce the u-form under the x(u) dictionary."""

@@ -114,31 +114,35 @@ def _level_solution(inst: KZInstance, t: int, l: int) -> PolyVector:
     return extract_solution(inst.level(t), None, l, t).vector
 
 
+def _lowered_differences(inst: KZInstance, t: int, base_level: int,
+                         matrix: CartierMatrix) -> list:
+    """Per l = 1..g, reduced mod p: the level-t solution l minus
+    sum_m (level-base_level solution m) * matrix[m][l]."""
+    base = [_level_solution(inst, base_level, m) for m in range(1, inst.g + 1)]
+    diffs = []
+    for l in range(1, inst.g + 1):
+        rhs = PolyVector.zero(inst.n, inst.zvars)
+        for m, vec in enumerate(base, 1):
+            rhs = rhs + vec.scale(matrix.entry(m, l))
+        diffs.append((_level_solution(inst, t, l) - rhs).reduce_mod(inst.ctx.p))
+    return diffs
+
+
 def verify_grading_relation(inst: KZInstance, t: int) -> GradingReport:
     """Check I at level t = sum_m (level t-1 solution)_m * C_m^l(z**(p**(t-1))) mod p."""
     if not 2 <= t <= inst.ctx.s:
         raise ValueError(f"t={t} outside 2..{inst.ctx.s}")
-    p = inst.ctx.p
-    C = cartier_matrix(p, inst.n).twist(t - 1)
-    lower = [_level_solution(inst, t - 1, m) for m in range(1, inst.g + 1)]
-    matches = []
+    C = cartier_matrix(inst.ctx.p, inst.n).twist(t - 1)
+    diffs = _lowered_differences(inst, t, t - 1, C)
     first_mismatch = None
-    for l in range(1, inst.g + 1):
-        lhs = _level_solution(inst, t, l).reduce_mod(p)
-        rhs = PolyVector.zero(inst.n, inst.zvars)
-        for m in range(1, inst.g + 1):
-            rhs = rhs + lower[m - 1].scale(C.entry(m, l))
-        diff = (lhs - rhs).reduce_mod(p)
-        matches.append(diff.is_zero())
-        if first_mismatch is None and not diff.is_zero():
-            for comp, entry in enumerate(diff.entries):
-                if entry:
-                    mono = min(entry.terms)
-                    first_mismatch = {"l": l, "component": comp + 1,
-                                      "monomial": list(mono),
-                                      "coefficient": entry.terms[mono]}
-                    break
-    return GradingReport(t, matches, first_mismatch)
+    for l, diff in enumerate(diffs, 1):
+        site = diff.first_term()
+        if site:
+            comp, mono, coeff = site
+            first_mismatch = {"l": l, "component": comp, "monomial": list(mono),
+                              "coefficient": coeff}
+            break
+    return GradingReport(t, [diff.is_zero() for diff in diffs], first_mismatch)
 
 
 def iterated_product(inst: KZInstance, t: int, m: int) -> CartierMatrix:
@@ -175,15 +179,5 @@ def verify_iterated_product(inst: KZInstance, t: int, m: int) -> IteratedReport:
     product = iterated_product(inst, t, m)
     reform = None
     if t == inst.ctx.s and m == inst.ctx.s - 1 and m >= 1:
-        p = inst.ctx.p
-        ok = True
-        base = [_level_solution(inst, 1, m1) for m1 in range(1, inst.g + 1)]
-        for l in range(1, inst.g + 1):
-            lhs = _level_solution(inst, inst.ctx.s, l).reduce_mod(p)
-            rhs = PolyVector.zero(inst.n, inst.zvars)
-            for m1 in range(1, inst.g + 1):
-                rhs = rhs + base[m1 - 1].scale(product.entry(m1, l))
-            if (lhs - rhs).reduce_mod(p) != PolyVector.zero(inst.n, inst.zvars):
-                ok = False
-        reform = ok
+        reform = all(diff.is_zero() for diff in _lowered_differences(inst, t, 1, product))
     return IteratedReport(product, reform)

@@ -163,13 +163,20 @@ def cmd_gen(args):
     return (0 if checks else 1), artifact
 
 
+def _reject_float(text: str):
+    raise ValueError(f"non-integer number {text} in the artifact")
+
+
 def cmd_verify(args):
     """Verify at the level r of the solution: an index l*p**r - 1 solves mod p**r."""
     if args.infile:
         with open(args.infile, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
+            data = json.load(fh, parse_float=_reject_float)
         try:
             params = {k: data[k] for k in ("p", "s", "n", "l", "r")}
+            # a bare SolutionRecord.to_json() payload carries no tags; present tags must match
+            if (data.get("schema", SCHEMA), data.get("kind", "solution")) != (SCHEMA, "solution"):
+                raise ValueError(f"{args.infile}: not a {SCHEMA} solution artifact")
             inst = KZInstance(data["n"], ModulusContext(data["p"], data["s"]))
             vector = vector_from_json(data["vector"])
         except (KeyError, TypeError) as exc:

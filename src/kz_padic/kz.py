@@ -21,6 +21,19 @@ terms and multiplies polynomials only to rebuild a residual that is not
 zero.  Multiplying a vanishing identity by a polynomial keeps it
 vanishing, so a zero residual is sound; as a converse probe the residual
 is also evaluated at random points where the cleared factor is a unit.
+
+The solutions come from one identity.  For the master vector
+P = (Phi/(x - z_1), ..., Phi/(x - z_n)), Phi = prod_j (x - z_j)**M_j with
+every M_j = -1/2 mod p**s, the KZ operator gives an exact x-derivative,
+    L_i dP/dz_i - inv(2) sum_{j != i} R_ij Omega_ij P = -L_i dP_i/dx e_i
+mod p**s, so the x**(l p**s - 1) coefficients of P solve the system.  In
+pair form, with S = sum_k P_k, the cleared identity minus its right side
+has component k != i equal to R_ik r_ik and component i equal to
+    L_i (dS/dz_i + dP_i/dx) - sum_{k != i} R_ik r_ik,
+and the same monic-cofactor argument, now over (Z/p**s)[x, z], gives:
+equation i holds mod p**s iff every r_ik and dS/dz_i + dP_i/dx vanish.
+``master_vector_identities`` checks exactly that, through the same pair
+operator as ``kz_residue``.
 """
 
 from __future__ import annotations
@@ -82,15 +95,6 @@ def omega(i: int, j: int, n: int) -> OmegaMatrix:
     return OmegaMatrix(i, j, n)
 
 
-def apply_omega(vec: PolyVector, i: int, j: int) -> PolyVector:
-    """Omega_ij applied to a vector: slots i,j get the antisymmetric mix."""
-    a, b = i - 1, j - 1
-    out = [Polynomial.zero(vec.vars) for _ in range(len(vec))]
-    out[a] = vec[b] - vec[a]
-    out[b] = vec[a] - vec[b]
-    return PolyVector(out)
-
-
 def _times_difference(terms: dict, a: int, b: int) -> dict:
     """(z_a - z_b) f for a term map f (0-based a, b): a shift up in z_a and in z_b."""
     out: dict = {}
@@ -110,15 +114,45 @@ def _reduce(terms: dict, m: int) -> dict:
     return {mono: c % m for mono, c in terms.items() if c % m}
 
 
+def _pair_residues(I: PolyVector, i: int, ctx: ModulusContext) -> dict:
+    """The nonzero reduced pair residuals r_ik mod p**s of equation i, by 0-based k.
+
+    z_i and z_k are found by name, so I may be over z_1..z_n or (x, z_1..z_n).
+    Since (z_i - z_k) d/dz_i z**d = d_i z**d - d_i z**d', with
+    d' = d - e_i + e_k, a term c z**d of I_k adds (d_i + inv2) c z**d and
+    -d_i c z**d' to r_ik, and r_ik = that sum - inv2 I_i: one pass over the
+    terms.
+    """
+    m, inv2 = ctx.modulus, ctx.inv2
+    a = i - 1
+    zi = I.vars.index(f"z{i}")
+    pairs = {}
+    for k in range(len(I)):
+        if k == a:
+            continue
+        zk = I.vars.index(f"z{k + 1}")
+        r = {mono: -inv2 * c for mono, c in I[a].terms.items()}
+        for mono, c in I[k].terms.items():
+            e = mono[zi]
+            r[mono] = r.get(mono, 0) + (e + inv2) * c
+            if e:
+                down = list(mono)
+                down[zi] -= 1
+                down[zk] += 1
+                key = tuple(down)
+                r[key] = r.get(key, 0) - e * c
+        r = _reduce(r, m)
+        if r:
+            pairs[k] = r
+    return pairs
+
+
 def kz_residue(I: PolyVector, i: int, inst: KZInstance) -> PolyVector:
     """Cleared-denominator residual of equation i, reduced mod p**s.
 
     Computed through the reduced pair residuals r_ik and dS/dz_i (see the
-    module docstring).  Since (z_i - z_k) d/dz_i z**d = d_i z**d - d_i z**d',
-    with d' = d - e_i + e_k, a term c z**d of I_k adds (d_i + inv2) c z**d
-    and -d_i c z**d' to r_ik, and r_ik = that sum - inv2 I_i: one pass over
-    the terms.  When every r_ik and dS/dz_i vanishes mod p**s so does the
-    residual, and no polynomial is multiplied.
+    module docstring).  When every r_ik and dS/dz_i vanishes mod p**s so
+    does the residual, and no polynomial is multiplied.
     """
     n = inst.n
     if len(I) != n:
@@ -128,25 +162,8 @@ def kz_residue(I: PolyVector, i: int, inst: KZInstance) -> PolyVector:
     if not 1 <= i <= n:
         raise ValueError(f"equation {i} outside 1..{n}")
     m = inst.ctx.modulus
-    inv2 = inst.ctx.inv2
     a = i - 1
-    pairs = {}                              # k -> r_ik mod p**s, nonzero only
-    for k in range(n):
-        if k == a:
-            continue
-        r = {mono: -inv2 * c for mono, c in I[a].terms.items()}
-        for mono, c in I[k].terms.items():
-            e = mono[a]
-            r[mono] = r.get(mono, 0) + (e + inv2) * c
-            if e:
-                down = list(mono)
-                down[a] -= 1
-                down[k] += 1
-                key = tuple(down)
-                r[key] = r.get(key, 0) - e * c
-        r = _reduce(r, m)
-        if r:
-            pairs[k] = r
+    pairs = _pair_residues(I, i, inst.ctx)
     dS = I.sum_entries().diff_index(a).reduce_mod(m).terms
     if not pairs and not dS:
         return PolyVector.zero(n, I.vars)
@@ -205,14 +222,6 @@ class SolutionCheck:
         }
 
 
-def _first_term(vec: PolyVector):
-    for comp, entry in enumerate(vec.entries):
-        if entry:
-            mono = min(entry.terms)
-            return comp + 1, mono, entry.terms[mono]
-    return None
-
-
 def _distinct_point(rng: random.Random, inst: KZInstance) -> list:
     """A point with pairwise distinct coordinates mod p (cleared factor a unit)."""
     p, m = inst.ctx.p, inst.ctx.modulus
@@ -224,21 +233,21 @@ def verify_solution(I: PolyVector, inst: KZInstance, point_checks: int = 4,
                     seed: int = 0) -> SolutionCheck:
     """Check the sum constraint and every cleared equation residual mod p**s."""
     m = inst.ctx.modulus
-    sum_ok = I.sum_entries().reduce_mod(m).is_zero()
+    total = I.sum_entries().reduce_mod(m)
+    sum_ok = total.is_zero()
     indices = range(1, inst.n + 1)
     residues = [kz_residue(I, i, inst) for i in indices]
 
     equations = [r.is_zero() for r in residues]
     first_failure = None
     if not sum_ok:
-        total = I.sum_entries().reduce_mod(m)
-        mono = min(total.terms)
-        first_failure = FailureSite("sum", 0, mono, total.terms[mono])
+        _, mono, coeff = PolyVector([total]).first_term()
+        first_failure = FailureSite("sum", 0, mono, coeff)
     else:
         for i, r in zip(indices, residues):
-            if not r.is_zero():
-                comp, mono, coeff = _first_term(r)
-                first_failure = FailureSite(i, comp, mono, coeff)
+            site = r.first_term()
+            if site:
+                first_failure = FailureSite(i, *site)
                 break
 
     rng = random.Random(seed)
@@ -274,55 +283,42 @@ class MasterIdentityCheck:
         }
 
 
+def master_vector_identities(P: PolyVector, inst: KZInstance) -> list:
+    """Per equation: does the cleared identity of the master vector P hold mod p**s?
+
+    P is over (x, z_1..z_n).  Equation i holds iff every pair residual r_ik
+    and dS/dz_i + dP_i/dx vanish mod p**s (see the module docstring), so no
+    cofactor is multiplied.
+    """
+    xvars = ("x",) + inst.zvars
+    if len(P) != inst.n or P.vars != xvars:
+        raise ValueError(f"expected {inst.n} entries over {xvars}")
+    m = inst.ctx.modulus
+    S = P.sum_entries()
+    return [not _pair_residues(P, i, inst.ctx)
+            and (S.diff(f"z{i}") + P[i - 1].diff("x")).reduce_mod(m).is_zero()
+            for i in range(1, inst.n + 1)]
+
+
 def verify_master_identities(inst: KZInstance, mvec) -> MasterIdentityCheck:
     """Symbolically verify the identities behind the solution construction.
 
     Over the exact integers, sum_j M_j Phi/(x-z_j) equals dPhi/dx; with every
     M_j = -1/2 mod p**s this collapses to the uniform form.  The vector
-    identity is checked per equation in cleared-denominator form, with
-    Psi^i carrying -Phi/(x-z_i) at slot i.
+    identity is checked per equation by ``master_vector_identities``.
     """
     from .solutions import master_component, validate_mvec  # local import, no cycle
 
     mvec = validate_mvec(inst, mvec)
-    n = inst.n
     m = inst.ctx.modulus
     xvars = ("x",) + inst.zvars
-    comps = [master_component(inst, mvec, j, xvars) for j in range(1, n + 1)]
-    P = PolyVector(comps)
+    P = PolyVector([master_component(inst, mvec, j, xvars) for j in range(1, inst.n + 1)])
 
     x = Polynomial.variable("x", xvars)
-    phi = comps[0] * (x - Polynomial.variable("z1", xvars))
+    dphi = (P[0] * (x - Polynomial.variable("z1", xvars))).diff("x")
     total = Polynomial.zero(xvars)
-    for Mi, comp in zip(mvec, comps):
+    for Mi, comp in zip(mvec, P):
         total = total + comp.scale(Mi)
-    exact = total == phi.diff("x")
-
-    half = inst.ctx.half
-    uniform = Polynomial.zero(xvars)
-    for comp in comps:
-        uniform = uniform + comp
-    mod_ok = (uniform.scale(half) - phi.diff("x")).reduce_mod(m).is_zero()
-
-    inv2 = inst.ctx.inv2
-    zpols = [Polynomial.variable(v, xvars) for v in inst.zvars]
-    vector_ok = []
-    for i in range(1, n + 1):
-        lead = Polynomial.one(xvars)
-        for j in range(1, n + 1):
-            if j != i:
-                lead = lead * (zpols[i - 1] - zpols[j - 1])
-        lhs = PolyVector([lead * e.diff(f"z{i}") for e in P.entries])
-        for j in range(1, n + 1):
-            if j == i:
-                continue
-            rest = Polynomial.one(xvars)
-            for k in range(1, n + 1):
-                if k not in (i, j):
-                    rest = rest * (zpols[i - 1] - zpols[k - 1])
-            lhs = lhs - apply_omega(P, i, j).scale(rest).scale(inv2)
-        rhs = [Polynomial.zero(xvars) for _ in range(n)]
-        rhs[i - 1] = lead * (-comps[i - 1]).diff("x")
-        vector_ok.append((lhs - PolyVector(rhs)).reduce_mod(m).is_zero())
-
-    return MasterIdentityCheck(exact, mod_ok, vector_ok)
+    exact = total == dphi
+    mod_ok = (P.sum_entries().scale(inst.ctx.half) - dphi).reduce_mod(m).is_zero()
+    return MasterIdentityCheck(exact, mod_ok, master_vector_identities(P, inst))

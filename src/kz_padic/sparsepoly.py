@@ -27,7 +27,7 @@ class Polynomial:
     """A sparse polynomial with integer coefficients.
 
     ``vars`` fixes the ambient variable list (and the lexicographic order
-    used for leading terms: earlier variables are more significant).
+    of monomials: earlier variables are more significant).
     ``terms`` maps exponent tuples to nonzero coefficients.
     """
 
@@ -202,21 +202,7 @@ class Polynomial:
         out.terms = terms
         return out
 
-    def collect_powers(self, name: str) -> dict:
-        """Map k -> coefficient polynomial of ``name**k`` (nonzero slices only)."""
-        i = self.vars.index(name)
-        rest = self.vars[:i] + self.vars[i + 1:]
-        buckets: dict = {}
-        for mono, coeff in self.terms.items():
-            buckets.setdefault(mono[i], {})[mono[:i] + mono[i + 1:]] = coeff
-        out = {}
-        for k, terms in buckets.items():
-            poly = Polynomial.zero(rest)
-            poly.terms = terms
-            out[k] = poly
-        return out
-
-    # -- modular reduction and leading terms ---------------------------------
+    # -- modular reduction ----------------------------------------------------
 
     def reduce_mod(self, m: int) -> "Polynomial":
         """Coefficients reduced to canonical representatives in [0, m)."""
@@ -225,13 +211,6 @@ class Polynomial:
         out = Polynomial.zero(self.vars)
         out.terms = {mono: c % m for mono, c in self.terms.items() if c % m}
         return out
-
-    def leading_term(self) -> tuple[Monomial, int]:
-        """Largest monomial in lex order (first variable most significant)."""
-        if not self.terms:
-            raise ValueError("zero polynomial has no leading term")
-        mono = max(self.terms)
-        return mono, self.terms[mono]
 
     # -- substitution and evaluation -----------------------------------------
 
@@ -376,8 +355,13 @@ class PolyVector:
             total = total + e
         return total
 
-    def slice_power(self, name: str, k: int) -> "PolyVector":
-        return PolyVector([e.slice_power(name, k) for e in self.entries])
+    def first_term(self):
+        """(1-based component, least monomial, coefficient) of the first nonzero entry, or None."""
+        for comp, entry in enumerate(self.entries, 1):
+            if entry:
+                mono = min(entry.terms)
+                return comp, mono, entry.terms[mono]
+        return None
 
     def map(self, fn) -> "PolyVector":
         return PolyVector([fn(e) for e in self.entries])
@@ -547,8 +531,12 @@ def vector_to_json(vec: PolyVector) -> dict:
 
 
 def vector_from_json(data: dict) -> PolyVector:
+    """Parse a vector from outside the program: negative exponents are rejected."""
     variables = tuple(data["vars"])
-    return PolyVector([
+    vec = PolyVector([
         Polynomial(variables, {tuple(t["e"]): int(t["c"]) for t in entry})
         for entry in data["entries"]
     ])
+    if any(min(map(min, entry.terms), default=0) < 0 for entry in vec):
+        raise ValueError("negative exponent in a vector entry")
+    return vec

@@ -1,5 +1,7 @@
+import dataclasses
 import itertools
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -16,8 +18,6 @@ from kz_padic.asymptotic import (
     limit_series,
     prefactor_truncated,
     q_consistency_report,
-    q_series,
-    q_truncated,
     series_constant_vector,
     series_prefactor_exponents,
     shift_solution,
@@ -299,13 +299,35 @@ def test_q_collapses_to_t_for_n3():
 
 def test_q_constant_terms():
     inst = make(5, 1, 5)
+    zero_key = (0,) * 3                     # x_2..x_4
     for l in (1, 2):
-        qt = q_truncated(inst, l)
-        assert qt.constant_term() == constant_vector(inst, l)
-    qs = q_series(5, 5, 1, 4, 6)
-    got = qs.constant_term()
+        xpolys = component_polynomials(truncated_expansion(inst, l), x_monomial)
+        assert tuple(poly.get(zero_key, 0) for poly in xpolys) == constant_vector(inst, l)
+    xpolys = component_polynomials(limit_series(5, 5, 1, 4, 6), x_monomial)
+    got = [poly.get(zero_key, PAdic(5, 6, 0)) for poly in xpolys]
     want = series_constant_vector(5, 5, 1, 6)
     assert all(a == b for a, b in zip(got, want))
+
+
+def test_factorization_failure_site_names_the_tampered_coefficient(monkeypatch):
+    p, s, n, l = 5, 1, 5, 1
+    inst = make(p, s, n)
+    st = truncated_expansion(inst, l)
+    a = random.Random(0).choice(sorted(st.coeffs))
+    j = components_of_class(n, l, index_class(n, l, a))[0]
+    coeffs = dict(st.coeffs)
+    coeffs[a] = tuple(c + (k == j - 1) for k, c in enumerate(coeffs[a]))
+    monkeypatch.setattr(asymptotic, "truncated_expansion",
+                        lambda *_: dataclasses.replace(st, coeffs=coeffs))
+    report = factorization_report(inst, l)
+    # the only changed coefficient sits at a's u-monomial in component j times
+    # the prefactor u_m**(M(n-2l-m+1) - l), m <= n-2l, and carries its sign
+    M, block = inst.ctx.half, n - 2 * l
+    pre = [M * (block - m + 1) - l if m <= block else 0 for m in range(1, n)]
+    mono = [e + pe for e, pe in zip(u_monomial(n, l, j, a), pre)]
+    sign = prefactor_truncated(inst, l).sign
+    assert report.first_mismatch == {"component": j, "monomial": mono, "coefficient": sign}
+    assert not report.factorization_ok and not report.passed
 
 
 @pytest.mark.parametrize("p,s", [(5, 1), (5, 2), (7, 1)])

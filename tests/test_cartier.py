@@ -1,5 +1,6 @@
 import pytest
 
+from kz_padic import cartier
 from kz_padic.cartier import (
     cartier_matrix,
     iterated_product,
@@ -8,6 +9,7 @@ from kz_padic.cartier import (
     verify_iterated_product,
 )
 from kz_padic.kz import KZInstance
+from kz_padic.solutions import extract_solution
 from kz_padic.sparsepoly import ModulusContext, Polynomial, z_variables
 
 
@@ -57,6 +59,33 @@ def test_grading_relation(p, n, t):
     inst = KZInstance(n, ModulusContext(p, t))
     report = verify_grading_relation(inst, t)
     assert report.passed, report.first_mismatch
+
+
+def test_grading_failure_site_names_the_tampered_entry(monkeypatch):
+    p, n, t = 5, 5, 2
+    inst = KZInstance(n, ModulusContext(p, t))
+    mu = (1, 0, 2, 0, 0)
+    untampered = cartier.cartier_matrix
+
+    def tampered(p_, n_):
+        C = untampered(p_, n_)
+        entries = [list(row) for row in C.entries]
+        entries[0][1] = (entries[0][1] + Polynomial(z_variables(n_), {mu: 1})).reduce_mod(p_)
+        return cartier.CartierMatrix(p_, n_, entries)
+
+    monkeypatch.setattr(cartier, "cartier_matrix", tampered)
+    report = verify_grading_relation(inst, t)
+    # +z**mu in C_1^2 adds lower_1 * z**(p mu) to the l = 2 combination, so the
+    # first mismatch is -lower_1 at its first nonzero component mod p, shifted
+    lower = extract_solution(inst.level(1), None, 1, 1).vector.reduce_mod(p)
+    comp = next(k for k, entry in enumerate(lower, 1) if entry)
+    least = min(lower[comp - 1].terms)
+    assert report.matches == [True, False]
+    assert report.first_mismatch == {
+        "l": 2, "component": comp,
+        "monomial": [e + p * m for e, m in zip(least, mu)],
+        "coefficient": -lower[comp - 1].terms[least] % p,
+    }
 
 
 def test_twist_matches_substitution():

@@ -221,6 +221,55 @@ def test_zero_vector_is_usage_error(argv):
     assert err.value.code == 2
 
 
+def _set_schema(data):
+    data["schema"] = "kz-padic/0"
+
+
+def _set_kind(data):
+    data["kind"] = "verify"
+
+
+def _negative_exponent(data):
+    data["vector"]["entries"][0][0]["e"][0] = -1
+
+
+def _float_exponent(data):
+    data["vector"]["entries"][0][0]["e"][0] = 1.5
+
+
+def _drop_entry(data):
+    data["vector"]["entries"].pop()
+
+
+@pytest.mark.parametrize("tamper,message", [
+    (_set_schema, "not a kz-padic/1 solution artifact"),
+    (_set_kind, "not a kz-padic/1 solution artifact"),
+    (_negative_exponent, "negative exponent"),
+    (_float_exponent, "non-integer number 1.5"),
+    (_drop_entry, "vector length 2 != n=3"),
+], ids=["schema", "kind", "negative-exponent", "float-exponent", "entry-count"])
+def test_malformed_artifact_is_usage_error(tamper, message, tmp_path, capsys):
+    sol = tmp_path / "sol.json"
+    run(["gen", "--p", 5, "--s", 1, "--n", 3, "--l", 1, "--out", sol])
+    data = json.loads(sol.read_text())
+    tamper(data)
+    sol.write_text(json.dumps(data))
+    with pytest.raises(SystemExit) as err:
+        run(["verify", "--in", sol])
+    assert err.value.code == 2
+    assert message in capsys.readouterr().err
+
+
+def test_untagged_solution_payload_verifies(tmp_path):
+    # SolutionRecord.to_json() carries no schema/kind; only present tags are checked
+    sol = tmp_path / "sol.json"
+    run(["gen", "--p", 5, "--s", 1, "--n", 3, "--l", 1, "--out", sol])
+    data = json.loads(sol.read_text())
+    del data["schema"], data["kind"]
+    sol.write_text(json.dumps(data))
+    assert run(["verify", "--in", sol]) == 0
+
+
 def test_desk_guard_refuses_before_enumerating():
     # the guard counts the tuples in closed form, so the refusal is immediate
     with pytest.raises(SystemExit) as err:

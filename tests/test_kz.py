@@ -6,8 +6,8 @@ from hypothesis import given, settings, strategies as st
 from kz_padic import kz
 from kz_padic.kz import (
     KZInstance,
-    apply_omega,
     kz_residue,
+    master_vector_identities,
     omega,
     verify_master_identities,
     verify_solution,
@@ -39,6 +39,15 @@ def test_omega_row_sums_vanish():
 def test_omega_equal_indices_rejected():
     with pytest.raises(ValueError):
         omega(2, 2, 3)
+
+
+def apply_omega(vec, i, j):
+    """Omega_ij applied to a vector: slots i,j get the antisymmetric mix (oracle helper)."""
+    a, b = i - 1, j - 1
+    out = [Polynomial.zero(vec.vars) for _ in range(len(vec))]
+    out[a] = vec[b] - vec[a]
+    out[b] = vec[a] - vec[b]
+    return PolyVector(out)
 
 
 def test_apply_omega_matches_matrix():
@@ -144,12 +153,15 @@ def test_linear_combination_verifies():
     assert verify_solution(combo, inst).passed
 
 
-@pytest.mark.parametrize("p,s,n,mvec", [
+MASTER_CASES = [
     (5, 1, 3, (2, 2, 2)),
     (7, 1, 3, (3, 3, 3)),
     (5, 2, 3, (12, 12, 37)),
     (5, 1, 5, (2, 2, 2, 2, 7)),
-])
+]
+
+
+@pytest.mark.parametrize("p,s,n,mvec", MASTER_CASES)
 def test_master_identities(p, s, n, mvec):
     inst = KZInstance(n, ModulusContext(p, s))
     check = verify_master_identities(inst, mvec)
@@ -176,23 +188,24 @@ GRID_SOLUTIONS = [(p, s, n, l) for p, s, n in GRID for l in range(1, (n - 1) // 
                   if (p, s, n, l) != (5, 2, 5, 1)]
 
 
+def cofactor(variables, inst, i, skip=None):
+    """prod_{j != i, skip} (z_i - z_j), expanded over the given variables."""
+    z = [Polynomial.variable(v, variables) for v in inst.zvars]
+    out = Polynomial.one(variables)
+    for j in range(1, inst.n + 1):
+        if j != i and j != skip:
+            out = out * (z[i - 1] - z[j - 1])
+    return out
+
+
 def expanded_residue(I, i, inst):
     """The oracle: L_i dI/dz_i - inv2 sum_{j != i} R_ij Omega_ij I mod p**s, expanded."""
-    zv = I.vars
-    z = [Polynomial.variable(v, zv) for v in zv]
-
-    def differences(skip):
-        out = Polynomial.one(zv)
-        for j in range(1, inst.n + 1):
-            if j != i and j != skip:
-                out = out * (z[i - 1] - z[j - 1])
-        return out
-
-    lead = differences(None)
+    lead = cofactor(I.vars, inst, i)
     res = PolyVector([lead * e.diff(f"z{i}") for e in I.entries])
     for j in range(1, inst.n + 1):
         if j != i:
-            res = res - apply_omega(I, i, j).scale(differences(j)).scale(inst.ctx.inv2)
+            rest = cofactor(I.vars, inst, i, j)
+            res = res - apply_omega(I, i, j).scale(rest).scale(inst.ctx.inv2)
     return res.reduce_mod(inst.ctx.modulus)
 
 
@@ -302,3 +315,51 @@ def test_residue_rejects_bad_input():
         kz_residue(PolyVector.zero(3, inst.zvars), 0, inst)
     with pytest.raises(ValueError):
         kz_residue(PolyVector.zero(3, ("x", "z1", "z2")), 1, inst)
+
+
+# -- the master identity through the pair operator, against the expansion -----
+
+def expanded_master_residuals(P, inst):
+    """The oracle, per equation i: the expanded cleared residual of P plus L_i dP_i/dx
+    at slot i, i.e. the master identity's left side minus its right side, mod p**s."""
+    out = []
+    for i in range(1, inst.n + 1):
+        rhs = [Polynomial.zero(P.vars) for _ in range(inst.n)]
+        rhs[i - 1] = cofactor(P.vars, inst, i) * P[i - 1].diff("x")
+        out.append((expanded_residue(P, i, inst) + PolyVector(rhs)).reduce_mod(inst.ctx.modulus))
+    return out
+
+
+def x_power_bump(P, slot):
+    """+1 on the pure x-power term of P_slot: for i != slot only r_i,slot sees it."""
+    terms = [dict(e.terms) for e in P.entries]
+    terms[slot][max(terms[slot])] += 1
+    return PolyVector([Polynomial(P.vars, t) for t in terms])
+
+
+@pytest.mark.parametrize("p,s,n,mvec", MASTER_CASES)
+def test_master_identities_match_expanded_oracle(p, s, n, mvec):
+    inst = KZInstance(n, ModulusContext(p, s))
+    xvars = ("x",) + inst.zvars
+    P = PolyVector([master_component(inst, mvec, j, xvars) for j in range(1, n + 1)])
+    base = expanded_master_residuals(P, inst)
+    assert master_vector_identities(P, inst) == [r.is_zero() for r in base] == [True] * n
+
+    rng = random.Random(f"{p}-{s}-{n}")
+    tampered = [x_power_bump(P, slot) for slot in range(n)]
+    tampered.append(sum_preserving_corruption(P, rng))
+    for vec in tampered:
+        # the expanded operator is linear over Z, so its residual of P + delta
+        # is the residual of P plus that of the sparse delta
+        delta = expanded_master_residuals(vec - P, inst)
+        want = [(b + d).reduce_mod(inst.ctx.modulus).is_zero() for b, d in zip(base, delta)]
+        assert master_vector_identities(vec, inst) == want
+        assert not all(want)
+
+
+def test_master_vector_identities_rejects_bad_input():
+    inst = inst513()
+    with pytest.raises(ValueError):
+        master_vector_identities(PolyVector.zero(3, inst.zvars), inst)
+    with pytest.raises(ValueError):
+        master_vector_identities(PolyVector.zero(2, ("x",) + inst.zvars), inst)
