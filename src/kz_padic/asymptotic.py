@@ -33,7 +33,7 @@ def w_variables(n: int) -> tuple:
     return tuple(f"w{i}" for i in range(1, n))
 
 
-def _check_index(n: int, l: int) -> None:
+def check_index(n: int, l: int) -> None:
     g = (n - 1) // 2
     if not 1 <= l <= g:
         raise ValueError(f"solution index l={l} outside 1..{g}")
@@ -45,7 +45,7 @@ def difference_form(inst: KZInstance, l: int) -> PolyVector:
     Component j < n divides the shifted master polynomial by (v - w_j),
     component n divides by v; extraction happens at v-index l p**s - 1.
     """
-    _check_index(inst.n, l)
+    check_index(inst.n, l)
     M = inst.ctx.half
     k = l * inst.ctx.modulus - 1
     wv = w_variables(inst.n)
@@ -118,7 +118,7 @@ def prefactor_truncated(inst: KZInstance, l: int) -> Prefactor:
     The u_m exponent, m <= n-2l, is M(n-2l-m+1) - l; all exponents are
     nonnegative on the supported parameter range.
     """
-    _check_index(inst.n, l)
+    check_index(inst.n, l)
     M = inst.ctx.half
     block = inst.n - 2 * l
     exps = [0] * (inst.n - 1)
@@ -149,7 +149,7 @@ def constant_vector(inst: KZInstance, l: int) -> tuple:
 
     Zeros repeat 2g-2l times, ones 2l times; the l/M slot is binom(M-1, l-1).
     """
-    _check_index(inst.n, l)
+    check_index(inst.n, l)
     M = inst.ctx.half
     zeros = 2 * inst.g - 2 * l
     out = [0] * inst.n
@@ -270,7 +270,7 @@ def _truncated_index_iter(n: int, l: int, M: int):
                     yield left + right, tag
 
 
-def _series_index_iter(n: int, l: int, cutoff: int):
+def series_indices(n: int, l: int, cutoff: int):
     """Indices whose visible monomial degree is at most the cutoff.
 
     The balance slot (position n-2l) never appears in the monomials, and the
@@ -298,7 +298,7 @@ def truncated_expansion(inst: KZInstance, l: int) -> SeriesTruncation:
     component n takes the plain product of binom(M, a_i).
     """
     n, M = inst.n, inst.ctx.half
-    _check_index(n, l)
+    check_index(n, l)
     if truncation_index_count(n, l, M) > DESK_TUPLE_LIMIT:
         raise DeskEnvelopeError("truncation index range above desk budget")
     base = [math.comb(M, e) for e in range(M + 1)]
@@ -324,13 +324,13 @@ def truncated_expansion(inst: KZInstance, l: int) -> SeriesTruncation:
 
 def limit_series(p: int, n: int, l: int, cutoff: int, N: int) -> SeriesTruncation:
     """p-adic coefficients of the limiting series up to monomial degree cutoff."""
-    _check_index(n, l)
+    check_index(n, l)
     top = cutoff + l + 1  # the balance slot can exceed the visible degrees by l
     b0 = [PAdic.from_fraction(binom_half_fraction(0, a), p, N) for a in range(top + 1)]
     b1 = [PAdic.from_fraction(binom_half_fraction(1, a), p, N) for a in range(top + 1)]
     zero = PAdic(p, N, 0)
     coeffs: dict = {}
-    for a in _series_index_iter(n, l, cutoff):
+    for a in series_indices(n, l, cutoff):
         tag = index_class(n, l, a)
         if tag is None:
             raise AssertionError("enumerated index violates its constraint")

@@ -29,7 +29,7 @@ from .convergence import (
     disjoint_domain_probe,
 )
 from .kz import KZInstance, verify_solution
-from .solutions import extract_solution
+from .solutions import extract_solution, validate_mvec
 from .sparsepoly import ModulusContext, vector_from_json
 
 SCHEMA = "kz-padic/1"
@@ -167,6 +167,15 @@ def _reject_float(text: str):
     raise ValueError(f"non-integer number {text} in the artifact")
 
 
+def _check_degree(vector, degree: int, path: str, params: dict) -> None:
+    """Every term of a level-r solution has degree sum(mvec) - l*p**r."""
+    for k, entry in enumerate(vector.entries, 1):
+        if entry.degrees_present() - {degree}:
+            mono = min(e for e in entry.terms if sum(e) != degree)
+            raise ValueError(f"{path}: term {list(mono)} of entry {k} has degree {sum(mono)}, "
+                             f"not {degree} as l={params['l']}, r={params['r']} require")
+
+
 def cmd_verify(args):
     """Verify at the level r of the solution: an index l*p**r - 1 solves mod p**r."""
     if args.infile:
@@ -179,6 +188,10 @@ def cmd_verify(args):
                 raise ValueError(f"{args.infile}: not a {SCHEMA} solution artifact")
             inst = KZInstance(data["n"], ModulusContext(data["p"], data["s"]))
             vector = vector_from_json(data["vector"])
+            mvec = validate_mvec(inst, data.get("mvec"))
+            level = inst.level(params["r"])
+            _check_degree(vector, sum(mvec) - params["l"] * level.ctx.modulus,
+                          args.infile, params)
         except (KeyError, TypeError) as exc:
             raise ValueError(f"{args.infile}: not a solution artifact ({exc!r})") from exc
     else:
@@ -186,7 +199,8 @@ def cmd_verify(args):
         vector = record.vector
         params = {"p": args.p, "s": args.s, "n": args.n, "l": args.l,
                   "r": record.r}
-    check = verify_solution(vector, inst.level(params["r"]))
+        level = inst.level(record.r)
+    check = verify_solution(vector, level)
     artifact = {"schema": SCHEMA, "kind": "verify", "params": params,
                 **check.to_json()}
     return (0 if check.passed else 1), artifact

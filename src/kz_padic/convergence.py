@@ -5,6 +5,30 @@ strengthen the evidence, never fake a pass: a sampled sup-norm is a lower
 bound for the true sup, and every PASS criterion is "measured <= bound".
 Norms that vanish at working precision are treated as intervals and flagged
 rather than silently counted as zero.
+
+The truncations and the limit series are summed at a sample point without
+listing their indices.  An index a = (a_1..a_{n-1}) has a left block
+a_1..a_{n-2l}, whose last slot is the balance slot, and a right block after
+it.  Its coefficient in component j is a product of one binomial per slot,
+prod_i c_i(a_i): c_i(e) = binom(M-1, e) on the distinguished slot i = j
+(j < n) and binom(M, e) elsewhere; binom(-3/2, e) and binom(-1/2, e) for
+the series.  Its x-monomial is prod_i x_i**a_i over the visible slots, with
+x = 1 on the balance slot.  The indices fill the two hyperplanes
+left sum - right sum = offset, with offset l - 1 for j <= n-2l and l above.
+So, with the per-slot rows and block products
+
+    row_i(t) = sum_e c_i(e) x_i**e t**e,
+    L(t) = prod_{i in left} row_i(t),      R(t) = prod_{i in right} row_i(t),
+
+component j at the point is
+
+    x_{j+1}**[j <= n-2l-1] * sum_r [t**r] R(t) * [t**(r + offset)] L(t).
+
+The visible coordinates of every sample lie in the zero disc, so x_i**e
+vanishes mod p**N once e * v_p(x_i) >= N: each row stops there, and the
+balance row at what the right block can reach.  For the series this
+per-slot box and the degree-<=cutoff simplex agree mod p**N whenever
+cutoff >= N - 1, since the extra terms have visible degree above N - 1.
 """
 
 from __future__ import annotations
@@ -15,15 +39,13 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .asymptotic import (
+    check_index,
     coefficient_difference_bound,
-    component_polynomials,
     components_of_class,
     constant_vector,
     index_class,
-    limit_series,
     series_constant_vector,
-    truncated_expansion,
-    u_monomial,
+    series_indices,
     x_monomial,
 )
 from .kz import KZInstance
@@ -31,6 +53,7 @@ from .padic import (
     DiscSpec,
     PAdic,
     PrecisionError,
+    binom_half,
     binom_half_fraction,
     fraction_valuation,
     hensel_sqrt,
@@ -38,6 +61,7 @@ from .padic import (
     legendre,
     teichmuller,
 )
+from .solutions import DeskEnvelopeError
 from .sparsepoly import ModulusContext
 
 
@@ -148,36 +172,162 @@ def check_bin_bound(p: int, l1: int, l2: int, a_max: int, s_values) -> BinBoundR
     return BinBoundReport(rows, smallest)
 
 
-# -- evaluation helpers ---------------------------------------------------------------
+# -- zone sums by per-slot generating functions ---------------------------------------
 
-def _as_padic(c, p: int, N: int) -> PAdic:
-    return c if isinstance(c, PAdic) else PAdic(p, N, c)
+# Work budget of one converge run in digit multiply-adds (``convergence_cost``).
+DESK_MULADD_LIMIT = 100_000_000
 
 
-def evaluate_poly_dict(poly: dict, point, p: int, N: int) -> PAdic:
-    """Evaluate an exponent->coefficient map at a tuple of p-adic values.
+def _mul(a: list, b: list, m: int) -> list:
+    out = [0] * (len(a) + len(b) - 1)
+    width = len(b)
+    for i, c in enumerate(a):
+        if c:
+            out[i:i + width] = [o + c * d for o, d in zip(out[i:i + width], b)]
+    return [c % m for c in out]
 
-    Coefficients are ints or ``PAdic`` values at precision N.  The work is
-    done on residues mod p**N: one table of powers per coordinate, each
-    term reduced as it is formed.  Only the returned value is a ``PAdic``.
-    """
-    m = p ** N
-    tops = [max(col) for col in zip(*poly)]
-    powers = []
-    for v, top in zip(point, tops):
-        x = v.residue
-        row = [1]
-        for _ in range(top):
-            row.append(row[-1] * x % m)
-        powers.append(row)
+
+def _product(rows, m: int) -> list:
+    out = [1]
+    for row in rows:
+        out = _mul(out, row, m)
+    return out
+
+
+def _product_muladds(caps) -> int:
+    """Multiply-adds of ``_product`` over rows of degrees ``caps``, in order."""
     total = 0
-    for exps, coeff in poly.items():
-        term = coeff.residue if isinstance(coeff, PAdic) else coeff
-        for row, e in zip(powers, exps):
-            if e:
-                term = term * row[e] % m
-        total += term
-    return PAdic(p, N, total)
+    degree = 0
+    for cap in caps:
+        total += (degree + 1) * (cap + 1)
+        degree += cap
+    return total
+
+
+def _row_top(l: int, N: int) -> int:
+    """Highest exponent a slot row needs at a point of the zero disc.
+
+    Visible slots stop below N, where x**e vanishes mod p**N; the balance
+    slot can exceed the right block's degree by at most l.
+    """
+    return (2 * l - 1) * (N - 1) + l
+
+
+def _truncation_rows(M: int, l: int, p: int, N: int) -> tuple:
+    """Slot rows binom(M, e) and binom(M-1, e) of the level-M truncation, mod p**N."""
+    m = p ** N
+    top = min(M, _row_top(l, N))
+    return ([math.comb(M, e) % m for e in range(top + 1)],
+            [math.comb(M - 1, e) % m for e in range(top + 1)])
+
+
+def _series_rows(p: int, l: int, N: int) -> tuple:
+    """Slot rows binom(-1/2, e) and binom(-3/2, e) of the limit series, mod p**N."""
+    top = _row_top(l, N)
+    return tuple([binom_half(l1, e, p, N).residue for e in range(top + 1)] for l1 in (0, 1))
+
+
+def _zone_values(n: int, l: int, rows: tuple, point, p: int, N: int) -> list:
+    """Residues mod p**N of the n component sums at a point of the zero disc.
+
+    ``point`` holds x_2..x_{n-1}; ``rows`` the plain and distinguished
+    slot coefficients c(e) (``_truncation_rows`` or ``_series_rows``).  Row
+    i is sum_e c(e) x_i**e t**e, with x = 1 on the balance slot and cut
+    where x_i**e vanishes mod p**N; component j is the x_{j+1}-scaled
+    coefficient sum_r R(r) L(r + offset) of the block products (see the
+    module docstring).
+    """
+    plain, special = rows
+    m = p ** N
+    block = n - 2 * l
+    top = len(plain) - 1
+    xs = [v.residue for v in point]
+    caps = []
+    for v in point:
+        val = v.norm_exponent()
+        if val == 0:
+            raise ValueError("zone point outside the zero disc")
+        caps.append(min(top, -(-N // val) - 1))
+    caps.insert(block - 1, min(top, sum(caps[block - 1:]) + l))
+    xs.insert(block - 1, 1)
+    plain_rows, special_rows = [], []
+    for x, cap in zip(xs, caps):
+        powers = [1]
+        for _ in range(cap):
+            powers.append(powers[-1] * x % m)
+        plain_rows.append([c * w % m for c, w in zip(plain, powers)])
+        special_rows.append([c * w % m for c, w in zip(special, powers)])
+
+    def block_product(slots, j):
+        return _product([special_rows[i] if i == j - 1 else plain_rows[i]
+                         for i in slots], m)
+
+    left, right = range(block), range(block, n - 1)
+    L, R = block_product(left, 0), block_product(right, 0)
+    out = []
+    for j in range(1, n + 1):
+        if j <= block:
+            lhs, rhs, offset = block_product(left, j), R, l - 1
+        else:
+            lhs, rhs, offset = L, (block_product(right, j) if j < n else R), l
+        value = sum(c * d for c, d in zip(rhs, lhs[offset:]))
+        if j < block:
+            value *= xs[j - 1]
+        out.append(value % m)
+    return out
+
+
+def _truncation_sums(n: int, l: int, M: int, points, p: int, N: int) -> list:
+    """Per point, the residues of the level-M truncation's n component sums."""
+    rows = _truncation_rows(M, l, p, N)
+    return [_zone_values(n, l, rows, pt, p, N) for pt in points]
+
+
+def _series_sums(n: int, l: int, cutoff: int, points, p: int, N: int) -> list:
+    """Per point, the residues of the series' n component sums up to visible degree cutoff."""
+    if cutoff < N - 1:
+        raise ValueError(f"series cutoff {cutoff} below N - 1 = {N - 1}")
+    rows = _series_rows(p, l, N)
+    return [_zone_values(n, l, rows, pt, p, N) for pt in points]
+
+
+def zone_muladds(n: int, l: int, rows_top: int, N: int) -> int:
+    """Multiply-adds in the block products of one zone sum, at its costliest points.
+
+    Those are the points whose visible coordinates all have valuation 1, so
+    each visible row runs to min(rows_top, N - 1).  A zone sum forms block+1
+    left products and 2l right products; its n inner products add only n
+    times the right block's length.
+    """
+    block = n - 2 * l
+    visible = min(rows_top, N - 1)
+    right = [visible] * (2 * l - 1)
+    left = [visible] * (block - 1) + [min(rows_top, sum(right) + l)]
+    return (block + 1) * _product_muladds(left) + 2 * l * _product_muladds(right)
+
+
+def convergence_cost(p: int, n: int, l: int, s_max: int, count: int, N: int) -> int:
+    """Work of a converge run: zone sums at every sample, plus the envelopes.
+
+    The series is evaluated once and each level's truncation once per
+    sample, each multiply-add weighted by the 30-bit digits (CPython's int
+    digit) of a residue mod p**N.  The envelope at level s walks at most
+    2 C(s+n-2, n-2) indices at about n**2 steps each.
+    """
+    top = _row_top(l, N)
+    per_sample = zone_muladds(n, l, top, N) + sum(
+        zone_muladds(n, l, min(top, (p ** s - 1) // 2), N) for s in range(1, s_max + 1))
+    digits = -(-(p ** N).bit_length() // 30)
+    walk = sum(2 * math.comb(s + n - 2, n - 2) for s in range(1, s_max + 1))
+    return count * per_sample * digits + n * n * walk
+
+
+def _check_desk(p: int, n: int, l: int, s_max: int, count: int, N: int) -> None:
+    cost = convergence_cost(p, n, l, s_max, count, N)
+    if cost > DESK_MULADD_LIMIT:
+        raise DeskEnvelopeError(
+            f"convergence run needs about {cost} multiply-adds, "
+            f"above the desk budget of {DESK_MULADD_LIMIT}")
 
 
 def tail_floor(cutoff: int) -> int:
@@ -189,32 +339,25 @@ def tail_floor(cutoff: int) -> int:
     return cutoff + 1
 
 
-def difference_envelope(p: int, s: int, n: int, l: int, index_sets,
-                        cutoff: int, with_prefactor: bool) -> int:
+def difference_envelope(p: int, s: int, n: int, l: int, cutoff: int,
+                        with_prefactor: bool) -> int:
     """Proven valuation floor for |truncation - series| on the sample domain.
 
-    Per stored index and component: monomial valuation (one per unit of
-    x-degree on radius-1/p samples) plus the coefficient difference bound.
-    The square-root prefactor mismatch contributes s+1; the series tail
-    past the cutoff contributes the tail floor.
+    Per index and component: monomial valuation (one per unit of x-degree
+    on radius-1/p samples) plus the coefficient difference bound.  The
+    square-root prefactor mismatch contributes s+1; the series tail past
+    the cutoff contributes the tail floor.
+
+    Only series indices of visible degree <= min(cutoff, s) are walked:
+    the index with every visible slot 0 and balance l bounds component n
+    by at most s + 1, while every index's bound is at least its visible
+    degree, so none of visible degree > s lowers the minimum; and up to the
+    cutoff every truncation index is also a series index.
     """
-    best = None
-    seen = set()
-    for indices in index_sets:
-        for a in indices:
-            if a in seen:
-                continue
-            seen.add(a)
-            tag = index_class(n, l, a)
-            if tag is None:
-                continue
-            for j in components_of_class(n, l, tag):
-                deg = sum(x_monomial(n, l, j, a))
-                bound = deg + coefficient_difference_bound(p, s, n, l, a, j)
-                best = bound if best is None else min(best, bound)
-    floors = [tail_floor(cutoff)]
-    if best is not None:
-        floors.append(best)
+    best = min(sum(x_monomial(n, l, j, a)) + coefficient_difference_bound(p, s, n, l, a, j)
+               for a in series_indices(n, l, min(cutoff, s))
+               for j in components_of_class(n, l, index_class(n, l, a)))
+    floors = [tail_floor(cutoff), best]
     if with_prefactor:
         floors.append(s + 1)
     return min(floors)
@@ -270,9 +413,22 @@ def _vector_val(diffs) -> int:
     return min(d.norm_exponent() for d in diffs)
 
 
-def _evaluate_at(polys, points, p: int, N: int) -> list:
-    """Per point, the values of every component polynomial there."""
-    return [[evaluate_poly_dict(poly, pt, p, N) for poly in polys] for pt in points]
+def _phase_row(s: int, phase: str, diffs_per_sample, bound: int, N: int) -> ConvergenceRow:
+    """Least valuation over the samples' difference vectors, against the bound."""
+    vals = [_vector_val(diffs) for diffs in diffs_per_sample]
+    measured = min(vals)
+    return ConvergenceRow(s, measured, bound, all(v >= bound for v in vals),
+                          measured >= N, phase)
+
+
+def _settle(report: ConvergenceReport) -> None:
+    """Verdicts over the rows: each phase's valuation rises with s; none clamped."""
+    phases: dict = {}
+    for r in report.rows:
+        phases.setdefault(r.phase, []).append(r.measured_val)
+    report.strictly_decreasing = all(b > a for vals in phases.values()
+                                     for a, b in zip(vals, vals[1:]))
+    report.precision_exhausted = any(r.clamped for r in report.rows)
 
 
 def converge_T_n3(p: int, s_max: int, count: int, seed: int, N: int,
@@ -281,10 +437,12 @@ def converge_T_n3(p: int, s_max: int, count: int, seed: int, N: int,
 
     Samples put u_2 in the zero disc and u_1 in the disc of beta**2; the
     polynomial side carries u_1**((p**s-3)/2) and the series side
-    w(beta) u_1**(-3/2) via a Hensel square root.
+    w(beta) u_1**(-3/2) via a Hensel square root.  At n = 3 the sums carry
+    no u_1 and their u_2 is the x_2 of the zone sums.
     """
     if N < s_max + 3:
         raise PrecisionError(f"N={N} too small for s_max={s_max}")
+    _check_desk(p, 3, 1, s_max, count, N)
     report = ConvergenceReport(p, 3, 1, seed, count, N)
     u2s = sample_disc(p, DiscSpec(0), count, seed, N)
     alpha = (beta * beta) % p
@@ -292,63 +450,34 @@ def converge_T_n3(p: int, s_max: int, count: int, seed: int, N: int,
     omega_beta = teichmuller(PAdic(p, N, beta))
 
     cutoff = max((p ** s_max - 1) // 2, N)  # discarded tail sits below precision
-    series = limit_series(p, 3, 1, cutoff, N)
-    points = [(PAdic(p, N, 0), u2) for u2 in u2s]
-    series_vals = _evaluate_at(component_polynomials(series, u_monomial), points, p, N)
+    points = [(u2,) for u2 in u2s]
+    series_vals = _series_sums(3, 1, cutoff, points, p, N)
     const_series = series_constant_vector(p, 3, 1, N)
+    scales = [omega_beta * (u1 * hensel_sqrt(u1, beta)).inverse() for u1 in u1s]
 
-    prev_plain = prev_full = None
-    strict = True
     for s in range(1, s_max + 1):
         inst = KZInstance(3, ModulusContext(p, s))
-        trunc = truncated_expansion(inst, 1)
-        trunc_vals = _evaluate_at(component_polynomials(trunc, u_monomial), points, p, N)
-        envelope = difference_envelope(
-            p, s, 3, 1, [trunc.coeffs.keys(), series.coeffs.keys()], cutoff, False)
-        bound_full = min(envelope, s + 1)
+        M = inst.ctx.half
+        trunc_vals = _truncation_sums(3, 1, M, points, p, N)
+        envelope = difference_envelope(p, s, 3, 1, cutoff, False)
 
         # truncation vs series, no prefactor
-        plain_vals = []
-        plain_ok = True
-        for tvals, svals in zip(trunc_vals, series_vals):
-            v = _vector_val([a - b for a, b in zip(tvals, svals)])
-            plain_vals.append(v)
-            if v < envelope:
-                plain_ok = False
-        measured_plain = min(plain_vals)
-        report.rows.append(ConvergenceRow(s, measured_plain, envelope, plain_ok,
-                                          measured_plain >= N, "series-only"))
+        report.rows.append(_phase_row(s, "series-only", (
+            [PAdic(p, N, a - b) for a, b in zip(tvals, svals)]
+            for tvals, svals in zip(trunc_vals, series_vals)), envelope, N))
 
         # constant-term distance (exactly p**-s)
         cvec = constant_vector(inst, 1)
-        cdiff = [_as_padic(c, p, N) - sc for c, sc in zip(cvec, const_series)]
+        cdiff = [PAdic(p, N, c) - sc for c, sc in zip(cvec, const_series)]
         report.constant_term_vals[s] = _vector_val(cdiff)
 
         # with prefactor: u1**((p**s - 3)/2) T vs w(beta) u1**(-3/2) T-series
-        full_vals = []
-        full_ok = True
-        M = (p ** s - 1) // 2
-        for u1, tvals, svals in zip(u1s, trunc_vals, series_vals):
-            lhs_scale = u1 ** (M - 1)
-            root = hensel_sqrt(u1, beta)
-            rhs_scale = omega_beta * (u1 * root).inverse()
-            diffs = [lhs_scale * tv - rhs_scale * sv for tv, sv in zip(tvals, svals)]
-            v = _vector_val(diffs)
-            full_vals.append(v)
-            if v < bound_full:
-                full_ok = False
-        measured_full = min(full_vals)
-        report.rows.append(ConvergenceRow(s, measured_full, bound_full, full_ok,
-                                          measured_full >= N, "with-prefactor"))
+        report.rows.append(_phase_row(s, "with-prefactor", (
+            [u1 ** (M - 1) * tv - rhs_scale * sv for tv, sv in zip(tvals, svals)]
+            for u1, rhs_scale, tvals, svals in zip(u1s, scales, trunc_vals, series_vals)),
+            min(envelope, s + 1), N))
 
-        if prev_plain is not None and measured_plain <= prev_plain:
-            strict = False
-        if prev_full is not None and measured_full <= prev_full:
-            strict = False
-        prev_plain, prev_full = measured_plain, measured_full
-
-    report.strictly_decreasing = strict
-    report.precision_exhausted = any(r.clamped for r in report.rows)
+    _settle(report)
     if report.precision_exhausted:
         report.notes.append("some differences vanished at working precision")
     return report
@@ -362,6 +491,9 @@ def converge_Q_general(p: int, n: int, l: int, s_max: int, count: int, seed: int
     """
     if N < s_max + 3:
         raise PrecisionError(f"N={N} too small for s_max={s_max}")
+    check_index(n, l)
+    KZInstance(n, ModulusContext(p, 1))     # p and n are checked before any work
+    _check_desk(p, n, l, s_max, count, N)
     report = ConvergenceReport(p, n, l, seed, count, N)
     alpha = (beta * beta) % p
     x1s = sample_disc(p, DiscSpec(alpha), count, seed, N)
@@ -370,37 +502,19 @@ def converge_Q_general(p: int, n: int, l: int, s_max: int, count: int, seed: int
     omega_beta = teichmuller(PAdic(p, N, beta))
 
     cutoff = max((p ** s_max - 1) // 2, N)  # discarded tail sits below precision
-    series = limit_series(p, n, l, cutoff, N)
-    series_vals = _evaluate_at(component_polynomials(series, x_monomial), points, p, N)
+    series_vals = _series_sums(n, l, cutoff, points, p, N)
+    scales = [omega_beta * hensel_sqrt(x1, beta).inverse() for x1 in x1s]
 
-    prev = None
-    strict = True
     for s in range(1, s_max + 1):
-        inst = KZInstance(n, ModulusContext(p, s))
-        trunc = truncated_expansion(inst, l)
-        trunc_vals = _evaluate_at(component_polynomials(trunc, x_monomial), points, p, N)
-        bound = difference_envelope(
-            p, s, n, l, [trunc.coeffs.keys(), series.coeffs.keys()], cutoff, True)
         M = (p ** s - 1) // 2
+        trunc_vals = _truncation_sums(n, l, M, points, p, N)
+        bound = difference_envelope(p, s, n, l, cutoff, True)
+        report.rows.append(_phase_row(s, "J-form", (
+            [x1 ** M * tv - rhs_scale * sv for tv, sv in zip(tvals, svals)]
+            for x1, rhs_scale, tvals, svals in zip(x1s, scales, trunc_vals, series_vals)),
+            bound, N))
 
-        vals = []
-        ok = True
-        for x1, tvals, svals in zip(x1s, trunc_vals, series_vals):
-            lhs_scale = x1 ** M
-            rhs_scale = omega_beta * hensel_sqrt(x1, beta).inverse()
-            diffs = [lhs_scale * tv - rhs_scale * sv for tv, sv in zip(tvals, svals)]
-            v = _vector_val(diffs)
-            vals.append(v)
-            if v < bound:
-                ok = False
-        measured = min(vals)
-        report.rows.append(ConvergenceRow(s, measured, bound, ok, measured >= N, "J-form"))
-        if prev is not None and measured <= prev:
-            strict = False
-        prev = measured
-
-    report.strictly_decreasing = strict
-    report.precision_exhausted = any(r.clamped for r in report.rows)
+    _settle(report)
     return report
 
 

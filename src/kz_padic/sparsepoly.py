@@ -9,6 +9,8 @@ is explicit via ``reduce_mod``.  Values are immutable after construction.
 from __future__ import annotations
 
 import math
+from itertools import chain
+from operator import itemgetter
 from typing import Iterable, Iterator, Mapping
 
 Monomial = tuple  # exponent tuple, one entry per ambient variable
@@ -531,8 +533,13 @@ def vector_to_json(vec: PolyVector) -> dict:
 
 
 def vector_from_json(data: dict) -> PolyVector:
-    """Parse a vector from outside the program: negative exponents are rejected."""
+    """Parse a vector from outside the program: negative exponents and booleans are rejected."""
     variables = tuple(data["vars"])
+    for entry in data["entries"]:
+        coefficients = map(itemgetter("c"), entry)
+        exponents = chain.from_iterable(map(itemgetter("e"), entry))
+        if bool in set(map(type, chain(coefficients, exponents))):  # true would pass as 1
+            raise ValueError("boolean in a vector entry")
     vec = PolyVector([
         Polynomial(variables, {tuple(t["e"]): int(t["c"]) for t in entry})
         for entry in data["entries"]

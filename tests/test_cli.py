@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -241,13 +242,24 @@ def _drop_entry(data):
     data["vector"]["entries"].pop()
 
 
+def _bool_exponent(data):
+    data["vector"]["entries"][0][0]["e"][0] = True
+
+
+def _bool_coefficient(data):
+    data["vector"]["entries"][0][0]["c"] = True
+
+
 @pytest.mark.parametrize("tamper,message", [
     (_set_schema, "not a kz-padic/1 solution artifact"),
     (_set_kind, "not a kz-padic/1 solution artifact"),
     (_negative_exponent, "negative exponent"),
     (_float_exponent, "non-integer number 1.5"),
     (_drop_entry, "vector length 2 != n=3"),
-], ids=["schema", "kind", "negative-exponent", "float-exponent", "entry-count"])
+    (_bool_exponent, "boolean in a vector entry"),
+    (_bool_coefficient, "boolean in a vector entry"),
+], ids=["schema", "kind", "negative-exponent", "float-exponent", "entry-count",
+        "bool-exponent", "bool-coefficient"])
 def test_malformed_artifact_is_usage_error(tamper, message, tmp_path, capsys):
     sol = tmp_path / "sol.json"
     run(["gen", "--p", 5, "--s", 1, "--n", 3, "--l", 1, "--out", sol])
@@ -258,6 +270,30 @@ def test_malformed_artifact_is_usage_error(tamper, message, tmp_path, capsys):
         run(["verify", "--in", sol])
     assert err.value.code == 2
     assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("params,key,value", [
+    ((5, 1, 5, 1, 1), "l", 2),
+    ((5, 1, 5, 1, 1), "mvec", [7, 2, 2, 2, 2]),
+    ((5, 2, 3, 1, 1), "r", 2),
+], ids=["l", "mvec", "r"])
+def test_relabelled_artifact_is_usage_error(params, key, value, tmp_path, capsys):
+    # the vector's degree sum(mvec) - l p**r must match the artifact's labels
+    p, s, n, l, r = params
+    sol = tmp_path / "sol.json"
+    run(["gen", "--p", p, "--s", s, "--n", n, "--l", l, "--r", r, "--out", sol])
+    data = json.loads(sol.read_text())
+    degree = data["delta"]
+    first = min(tuple(t["e"]) for t in data["vector"]["entries"][0])
+    data[key] = value
+    sol.write_text(json.dumps(data))
+    with pytest.raises(SystemExit) as err:
+        run(["verify", "--in", sol])
+    assert err.value.code == 2
+    want = sum(data["mvec"]) - data["l"] * p ** data["r"]
+    assert want != degree
+    assert (f"term {list(first)} of entry 1 has degree {degree}, not {want}"
+            in capsys.readouterr().err)
 
 
 def test_untagged_solution_payload_verifies(tmp_path):
@@ -277,10 +313,9 @@ def test_desk_guard_refuses_before_enumerating():
     assert err.value.code == 2
 
 
-@pytest.mark.slow
 def test_converge_n5_reaches_level_three(tmp_path):
-    # the level-3 truncation is enumerated on its hyperplanes only: the box
-    # of 63**4 indices would be refused by the desk guard
+    # no index of the level-3 truncation is listed: each component is summed
+    # by its per-slot generating functions
     rep = tmp_path / "conv.json"
     code = run(["converge", "--p", 5, "--n", 5, "--l", 1, "--smax", 3, "--prec", 11,
                 "--out", rep])
@@ -288,3 +323,28 @@ def test_converge_n5_reaches_level_three(tmp_path):
     data = json.loads(rep.read_text())
     assert [r["measured_val"] for r in data["rows"]] == [1, 2, 3]
     assert data["pass"] and data["disjoint_domains"]["pass"]
+
+
+@pytest.mark.parametrize("p,n,l,smax", [
+    (5, 5, 1, 4), (5, 5, 2, 4), (7, 5, 1, 3), (7, 5, 2, 3),
+    (7, 7, 1, 3), (7, 7, 2, 3), (7, 7, 3, 3),
+])
+def test_converge_reaches_past_the_index_walk(p, n, l, smax, tmp_path):
+    # default precision smax + 8 and 50 samples; the index walk took minutes
+    # or was refused at these levels
+    rep = tmp_path / "conv.json"
+    assert run(["converge", "--p", p, "--n", n, "--l", l, "--smax", smax,
+                "--out", rep]) == 0
+    data = json.loads(rep.read_text())
+    assert [r["measured_val"] for r in data["rows"]] == list(range(1, smax + 1))
+    assert data["strictly_decreasing"] and data["pass"]
+
+
+def test_converge_desk_guard_refuses_at_once(capsys):
+    start = time.perf_counter()
+    with pytest.raises(SystemExit) as err:
+        run(["converge", "--p", 5, "--n", 5, "--l", 1, "--smax", 2,
+             "--samples", 10 ** 7])
+    assert err.value.code == 2
+    assert time.perf_counter() - start < 1.0
+    assert "above the desk budget" in capsys.readouterr().err

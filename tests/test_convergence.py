@@ -1,4 +1,6 @@
+import functools
 import math
+import time
 from fractions import Fraction
 
 import pytest
@@ -6,27 +8,63 @@ from hypothesis import example, given, settings, strategies as st
 
 from kz_padic import convergence
 from kz_padic.asymptotic import (
+    coefficient_difference_bound,
     component_polynomials,
+    components_of_class,
+    index_class,
     limit_series,
     truncated_expansion,
     u_monomial,
+    x_monomial,
 )
 from kz_padic.convergence import (
+    DESK_MULADD_LIMIT,
     DiscSpec,
     check_bin_bound,
     check_xps_convergence,
     classic_partial_sums,
     converge_Q_general,
     converge_T_n3,
+    convergence_cost,
+    difference_envelope,
     disjoint_domain_probe,
-    evaluate_poly_dict,
     nonresidue_alternation,
     sample_disc,
     tail_floor,
+    zone_muladds,
 )
 from kz_padic.kz import KZInstance
 from kz_padic.padic import PAdic, PrecisionError, int_valuation
+from kz_padic.solutions import DeskEnvelopeError
 from kz_padic.sparsepoly import ModulusContext
+
+GRID = [(5, 1, 3), (5, 2, 3), (5, 3, 3), (7, 1, 3), (7, 2, 3),
+        (5, 1, 5), (5, 2, 5), (7, 1, 5)]
+GRID_CASES = [(p, s, n, l) for p, s, n in GRID for l in range(1, (n - 1) // 2 + 1)]
+GENUS_3 = [(7, 1, 7, l) for l in (1, 2, 3)]
+
+
+# -- the index-walk oracle: every index listed, every monomial evaluated ---------------
+
+def evaluate_poly_dict(poly: dict, point, p: int, N: int) -> PAdic:
+    """Oracle evaluator on residues mod p**N: one table of powers per coordinate."""
+    m = p ** N
+    tops = [max(col) for col in zip(*poly)]
+    powers = []
+    for v, top in zip(point, tops):
+        x = v.residue
+        row = [1]
+        for _ in range(top):
+            row.append(row[-1] * x % m)
+        powers.append(row)
+    total = 0
+    for exps, coeff in poly.items():
+        term = coeff.residue if isinstance(coeff, PAdic) else coeff
+        for row, e in zip(powers, exps):
+            if e:
+                term = term * row[e] % m
+        total += term
+    return PAdic(p, N, total)
 
 
 def padic_evaluate(poly, point, p, N):
@@ -51,6 +89,64 @@ def padic_evaluate(poly, point, p, N):
                 term = term * powers[i][e]
         total = total + term
     return total
+
+
+def level_of(M, p):
+    s = 1
+    while (p ** s - 1) // 2 < M:
+        s += 1
+    assert (p ** s - 1) // 2 == M
+    return s
+
+
+@functools.lru_cache(maxsize=None)
+def truncation_polys(p, s, n, l):
+    return component_polynomials(truncated_expansion(KZInstance(n, ModulusContext(p, s)), l),
+                                 x_monomial)
+
+
+@functools.lru_cache(maxsize=None)
+def series_polys(p, n, l, cutoff, N):
+    return component_polynomials(limit_series(p, n, l, cutoff, N), x_monomial)
+
+
+def walk_values(polys, points, p, N):
+    return [[evaluate_poly_dict(poly, pt, p, N).residue for poly in polys] for pt in points]
+
+
+def walk_truncation_sums(n, l, M, points, p, N):
+    return walk_values(truncation_polys(p, level_of(M, p), n, l), points, p, N)
+
+
+def walk_series_sums(n, l, cutoff, points, p, N):
+    return walk_values(series_polys(p, n, l, cutoff, N), points, p, N)
+
+
+def walk_envelope(p, s, n, l, cutoff, with_prefactor):
+    """The envelope over every stored index of the truncation and the series."""
+    trunc = truncated_expansion(KZInstance(n, ModulusContext(p, s)), l)
+    series = limit_series(p, n, l, cutoff, s + 1)
+    best = None
+    for a in set(trunc.coeffs) | set(series.coeffs):
+        for j in components_of_class(n, l, index_class(n, l, a)):
+            bound = sum(x_monomial(n, l, j, a)) + coefficient_difference_bound(p, s, n, l, a, j)
+            best = bound if best is None else min(best, bound)
+    floors = [tail_floor(cutoff), best]
+    if with_prefactor:
+        floors.append(s + 1)
+    return min(floors)
+
+
+def use_index_walk(monkeypatch):
+    monkeypatch.setattr(convergence, "_truncation_sums", walk_truncation_sums)
+    monkeypatch.setattr(convergence, "_series_sums", walk_series_sums)
+    monkeypatch.setattr(convergence, "difference_envelope", walk_envelope)
+
+
+def zone_points(p, n, N, count, seed):
+    """Points x_2..x_{n-1} of the zero disc, the converge samples' domain."""
+    cols = [sample_disc(p, DiscSpec(0), count, seed + i, N) for i in range(n - 2)]
+    return [tuple(col[k] for col in cols) for k in range(count)]
 
 
 def test_sample_disc_determinism_and_membership():
@@ -179,6 +275,8 @@ def test_residue_evaluator_matches_padic_oracle(case):
 
 @pytest.mark.parametrize("n,l", [(3, 1), (5, 1), (5, 2)])
 def test_converge_payloads_match_oracle_evaluator(monkeypatch, n, l):
+    # the index-walk path: truncation/series -> component_polynomials ->
+    # oracle evaluator, and the envelope over every stored index
     def runs():
         out = [converge_Q_general(5, n, l, 2, 6, 4, 8).to_json()]
         if n == 3:
@@ -186,8 +284,114 @@ def test_converge_payloads_match_oracle_evaluator(monkeypatch, n, l):
         return out
 
     fast = runs()
-    monkeypatch.setattr(convergence, "evaluate_poly_dict", padic_evaluate)
+    use_index_walk(monkeypatch)
     assert runs() == fast
+
+
+@pytest.mark.parametrize("p,s,n,l", GRID_CASES + GENUS_3)
+def test_zone_sums_match_index_walk(p, s, n, l):
+    N = s + 6
+    M = (p ** s - 1) // 2
+    points = zone_points(p, n, N, 4, 31 * s + n)
+    # a coordinate of valuation 2 and an exact zero shorten their rows
+    points.append(tuple(PAdic(p, N, p * p * (i + 1)) for i in range(n - 2)))
+    points.append(tuple(PAdic(p, N, 0 if i % 2 else p) for i in range(n - 2)))
+    assert (convergence._truncation_sums(n, l, M, points, p, N)
+            == walk_truncation_sums(n, l, M, points, p, N))
+    for cutoff in (N - 1, N + 2):
+        assert (convergence._series_sums(n, l, cutoff, points, p, N)
+                == walk_series_sums(n, l, cutoff, points, p, N))
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("l", [1, 3])
+def test_genus_3_level_2_sums_match_index_walk(l):
+    p, s, n, N = 7, 2, 7, 9
+    points = zone_points(p, n, N, 2, 5)
+    M = (p ** s - 1) // 2
+    assert (convergence._truncation_sums(n, l, M, points, p, N)
+            == walk_truncation_sums(n, l, M, points, p, N))
+
+
+ZONE_CASES = [(5, 1, 3, 1), (5, 2, 3, 1), (7, 1, 3, 1), (5, 1, 5, 1), (5, 1, 5, 2),
+              (5, 2, 5, 2), (7, 1, 5, 1), (7, 1, 5, 2), (7, 1, 7, 2)]
+
+
+@st.composite
+def zone_cases(draw):
+    p, s, n, l = draw(st.sampled_from(ZONE_CASES))
+    N = draw(st.integers(s + 1, s + 5))
+    vals = st.integers(1, N).map(lambda v: p ** v)
+    units = st.integers(1, p ** N)
+    point = tuple(PAdic(p, N, draw(vals) * draw(units)) for _ in range(n - 2))
+    return p, s, n, l, N, point
+
+
+@settings(max_examples=60, deadline=None)
+@given(zone_cases())
+def test_zone_sums_match_index_walk_at_random_points(case):
+    p, s, n, l, N, point = case
+    M = (p ** s - 1) // 2
+    assert (convergence._truncation_sums(n, l, M, [point], p, N)
+            == walk_truncation_sums(n, l, M, [point], p, N))
+    assert (convergence._series_sums(n, l, N - 1, [point], p, N)
+            == walk_series_sums(n, l, N - 1, [point], p, N))
+
+
+def test_zone_sums_reject_points_off_the_zero_disc():
+    unit = (PAdic(5, 6, 1), PAdic(5, 6, 5), PAdic(5, 6, 0))
+    with pytest.raises(ValueError, match="zero disc"):
+        convergence._truncation_sums(5, 1, 2, [unit], 5, 6)
+    with pytest.raises(ValueError, match="cutoff"):
+        convergence._series_sums(5, 1, 4, [unit[1:] + unit[1:2]], 5, 6)
+
+
+@pytest.mark.parametrize("p,s,n,l", GRID_CASES + GENUS_3)
+def test_pruned_envelope_matches_index_walk(p, s, n, l):
+    for cutoff in sorted({s + 3, s + 7, max((p ** s - 1) // 2, s + 3)}):
+        for with_prefactor in (False, True):
+            assert (difference_envelope(p, s, n, l, cutoff, with_prefactor)
+                    == walk_envelope(p, s, n, l, cutoff, with_prefactor)), (cutoff, with_prefactor)
+
+
+@pytest.mark.parametrize("n,l", [(3, 1), (5, 1), (5, 2), (7, 1), (7, 2), (7, 3)])
+def test_muladd_count_is_exact_at_valuation_one(monkeypatch, n, l):
+    p, N = 7, 9
+    count = 0
+    mul = convergence._mul
+
+    def counted(a, b, m):
+        nonlocal count
+        count += len(a) * len(b)
+        return mul(a, b, m)
+
+    monkeypatch.setattr(convergence, "_mul", counted)
+    point = tuple(PAdic(p, N, p * (i + 2)) for i in range(n - 2))
+    for M, rows in ((3, convergence._truncation_rows(3, l, p, N)),
+                    (24, convergence._truncation_rows(24, l, p, N)),
+                    (None, convergence._series_rows(p, l, N))):
+        count = 0
+        convergence._zone_values(n, l, rows, point, p, N)
+        assert count == zone_muladds(n, l, len(rows[0]) - 1, N), M
+    # a coordinate of higher valuation only shortens its row
+    count = 0
+    convergence._zone_values(n, l, rows, (PAdic(p, N, p ** 3),) * (n - 2), p, N)
+    assert count < zone_muladds(n, l, len(rows[0]) - 1, N)
+
+
+def test_desk_guard_refuses_before_sampling(monkeypatch):
+    def no_sampling(*args):
+        raise AssertionError("sampled before the desk guard")
+
+    monkeypatch.setattr(convergence, "sample_disc", no_sampling)
+    for run in (lambda: converge_Q_general(5, 5, 1, 2, 10 ** 7, 0, 10),
+                lambda: converge_Q_general(5, 5, 1, 300, 50, 0, 308),
+                lambda: converge_T_n3(5, 3, 50, 0, 3000)):
+        start = time.perf_counter()
+        with pytest.raises(DeskEnvelopeError):
+            run()
+        assert time.perf_counter() - start < 1.0
+    assert convergence_cost(5, 5, 1, 4, 50, 12) < DESK_MULADD_LIMIT
 
 
 def test_converge_t_n3_small():
