@@ -27,6 +27,7 @@ from .convergence import (
     converge_Q_general,
     converge_T_n3,
     disjoint_domain_probe,
+    least_precision,
 )
 from .kz import KZInstance, verify_solution
 from .solutions import extract_solution, validate_mvec
@@ -260,6 +261,9 @@ def cmd_converge(args):
     samples = args.samples if args.samples is not None else 50
     seed = args.seed if args.seed is not None else 0
     prec = args.prec if args.prec is not None else args.smax + 8
+    if prec < least_precision(args.smax):
+        raise ValueError(f"--prec {prec} is too small for --smax {args.smax}; "
+                         f"use --prec {least_precision(args.smax)} or more")
     if args.n == 3:
         report = converge_T_n3(args.p, args.smax, samples, seed, prec)
     else:

@@ -431,6 +431,11 @@ def _settle(report: ConvergenceReport) -> None:
     report.precision_exhausted = any(r.clamped for r in report.rows)
 
 
+def least_precision(s_max: int) -> int:
+    """Least working precision N at which the protocols resolve levels 1..s_max."""
+    return s_max + 3
+
+
 def converge_T_n3(p: int, s_max: int, count: int, seed: int, N: int,
                   beta: int = 1) -> ConvergenceReport:
     """n = 3 protocol: truncations against the series, then with prefactors.
@@ -440,7 +445,7 @@ def converge_T_n3(p: int, s_max: int, count: int, seed: int, N: int,
     w(beta) u_1**(-3/2) via a Hensel square root.  At n = 3 the sums carry
     no u_1 and their u_2 is the x_2 of the zone sums.
     """
-    if N < s_max + 3:
+    if N < least_precision(s_max):
         raise PrecisionError(f"N={N} too small for s_max={s_max}")
     _check_desk(p, 3, 1, s_max, count, N)
     report = ConvergenceReport(p, 3, 1, seed, count, N)
@@ -489,7 +494,7 @@ def converge_Q_general(p: int, n: int, l: int, s_max: int, count: int, seed: int
 
     Samples put x_1 in the disc of beta**2 and x_2..x_{n-1} in the zero disc.
     """
-    if N < s_max + 3:
+    if N < least_precision(s_max):
         raise PrecisionError(f"N={N} too small for s_max={s_max}")
     check_index(n, l)
     KZInstance(n, ModulusContext(p, 1))     # p and n are checked before any work

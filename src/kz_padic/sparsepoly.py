@@ -9,8 +9,8 @@ is explicit via ``reduce_mod``.  Values are immutable after construction.
 from __future__ import annotations
 
 import math
-from itertools import chain
-from operator import itemgetter
+from itertools import chain, repeat
+from operator import add, itemgetter, mul
 from typing import Iterable, Iterator, Mapping
 
 Monomial = tuple  # exponent tuple, one entry per ambient variable
@@ -131,19 +131,43 @@ class Polynomial:
         return self + (-other)
 
     def __mul__(self, other) -> "Polynomial":
+        """Product, one row per term of the shorter operand.
+
+        A row is the longer operand shifted by one monomial and scaled by one
+        coefficient, built by C-level iterators over the longer operand's
+        exponent columns.  Its keys are pairwise distinct, because a shift is
+        injective and the longer operand's monomials are distinct; its
+        coefficients are nonzero, because they are products of nonzero
+        integers.  So a row whose keys are all new is inserted as it is, and
+        only a row that meets earlier keys is accumulated term by term.
+        """
         if isinstance(other, int):
             return self.scale(other)
         _check_same_vars(self, other)
+        big, small = self.terms, other.terms
+        if len(big) < len(small):
+            big, small = small, big
+        out = Polynomial.zero(self.vars)
+        if small and not self.vars:     # no exponent columns: the one monomial is ()
+            out.terms = {(): big[()] * small[()]}
+            return out
+        # one byte per exponent where they fit: the transpose stays small beside the product
+        columns = [bytes(col) if 0 <= min(col) and max(col) < 256 else col
+                   for col in zip(*big)]
         prod: dict = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                key = tuple(e1 + e2 for e1, e2 in zip(m1, m2))
-                total = prod.get(key, 0) + c1 * c2
+        for m2, c2 in small.items():
+            keys = list(zip(*[map(add, col, repeat(e)) if e else col
+                              for col, e in zip(columns, m2)]))
+            vals = map(mul, big.values(), repeat(c2))
+            if prod.keys().isdisjoint(keys):
+                prod.update(zip(keys, vals))
+                continue
+            for key, val in zip(keys, vals):
+                total = prod.get(key, 0) + val
                 if total:
                     prod[key] = total
                 else:
                     del prod[key]
-        out = Polynomial.zero(self.vars)
         out.terms = prod
         return out
 

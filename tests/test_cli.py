@@ -348,3 +348,14 @@ def test_converge_desk_guard_refuses_at_once(capsys):
     assert err.value.code == 2
     assert time.perf_counter() - start < 1.0
     assert "above the desk budget" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("n,l", [(3, 1), (5, 2)])
+def test_converge_short_precision_is_usage_error(n, l, capsys):
+    # refused before sampling, naming the least precision that resolves smax
+    with pytest.raises(SystemExit) as err:
+        run(["converge", "--p", 5, "--n", n, "--l", l, "--smax", 4, "--prec", 6])
+    assert err.value.code == 2
+    assert "--prec 6 is too small for --smax 4; use --prec 7 or more" in capsys.readouterr().err
+    assert run(["converge", "--p", 5, "--n", n, "--l", l, "--smax", 4, "--prec", 7,
+                "--samples", 5]) == 0

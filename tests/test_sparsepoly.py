@@ -1,7 +1,10 @@
 import random
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
+from kz_padic.kz import KZInstance
+from kz_padic.solutions import extract_component
 from kz_padic.sparsepoly import (
     ModulusContext,
     Polynomial,
@@ -14,6 +17,7 @@ from kz_padic.sparsepoly import (
     slice_size,
     vector_from_json,
     vector_to_json,
+    z_variables,
 )
 
 XZ = ("x", "z1", "z2", "z3")
@@ -29,6 +33,120 @@ def random_poly(rng, variables, terms=6, deg=4, coeff=9):
         mono = tuple(rng.randrange(deg) for _ in variables)
         data[mono] = rng.randrange(-coeff, coeff + 1)
     return Polynomial(variables, data)
+
+
+def _naive_mul(a, b):
+    """The nested-loop product: the oracle for ``Polynomial.__mul__``."""
+    assert a.vars == b.vars
+    prod = {}
+    for m1, c1 in a.terms.items():
+        for m2, c2 in b.terms.items():
+            key = tuple(e1 + e2 for e1, e2 in zip(m1, m2))
+            total = prod.get(key, 0) + c1 * c2
+            if total:
+                prod[key] = total
+            else:
+                del prod[key]
+    out = Polynomial.zero(a.vars)
+    out.terms = prod
+    return out
+
+
+def assert_product(a, b):
+    got = a * b
+    want = _naive_mul(a, b)
+    assert got == want
+    assert all(got.terms.values())      # no stored zero coefficient
+    assert b * a == want
+    return got
+
+
+@st.composite
+def poly_pairs(draw):
+    width = draw(st.integers(0, 4))
+    variables = tuple(f"v{i}" for i in range(width))
+    low, high = draw(st.sampled_from([(0, 1), (0, 4), (250, 260), (-3, 3)]))
+    exps = st.tuples(*[st.integers(low, high)] * width)
+    coeffs = st.one_of(st.integers(-3, 3), st.integers(-10 ** 30, 10 ** 30))
+    a, b = (Polynomial(variables, draw(st.dictionaries(exps, coeffs, max_size=size)))
+            for size in (draw(st.integers(0, 40)), draw(st.integers(0, 8))))
+    return a, b
+
+
+@settings(max_examples=150, deadline=None)
+@given(poly_pairs())
+@example((Polynomial.constant(3, ()), Polynomial.constant(2, ())))
+@example((Polynomial.zero(("v0",)), Polynomial.constant(5, ("v0",))))
+def test_mul_matches_naive_product(pair):
+    assert_product(*pair)
+
+
+def test_mul_cross_terms_cancel():
+    a, b = gens(("a", "b"))
+    got = assert_product(a + b, a - b)
+    assert got == a * a - b * b and len(got) == 2
+    # four of the six products cancel in pairs
+    assert assert_product(a * a + a * b + b * b, a - b) == a ** 3 - b ** 3
+
+
+def test_mul_heavy_collisions():
+    zv = ("z1", "z2", "z3")
+    z1, z2, z3 = gens(zv)
+    one = Polynomial.one(zv)
+    f = (z1 + z2 + z3 + one) ** 4
+    assert_product(f, f)
+    assert_product(f, z1 - z2)
+    assert_product((z1 - z2) ** 3, f)
+    assert assert_product(f - one, f + one) == f * f - one
+
+
+def test_mul_collisions_on_a_solution_component():
+    # component 1 of the (p, s, n, l) = (5, 2, 5, 1) solution, 13,195 terms
+    inst = KZInstance(5, ModulusContext(5, 2))
+    comp = extract_component(inst, None, 1, 24)
+    assert len(comp) == 13195
+    z1, z2 = gens(inst.zvars)[:2]
+    assert_product(comp, z1 - z2)
+    assert_product((z1 - z2) ** 3, comp)
+
+
+def test_mul_empty_operand_and_scalars():
+    rng = random.Random(9)
+    f = random_poly(rng, XZ, terms=12)
+    zero = Polynomial.zero(XZ)
+    assert (f * zero).is_zero() and (zero * f).is_zero() and (zero * zero).is_zero()
+    assert 3 * f == f * 3 == _naive_mul(f, Polynomial.constant(3, XZ))
+    assert (0 * f).is_zero() and (f * 0).is_zero()
+    assert -1 * f == -f
+
+
+def test_mul_operands_of_very_different_sizes():
+    rng = random.Random(10)
+    zv = z_variables(4)
+    long = random_poly(rng, zv, terms=400, deg=9)
+    for short in (Polynomial.variable("z2", zv), random_poly(rng, zv, terms=3, deg=9)):
+        assert_product(long, short)
+        assert_product(short, long)
+
+
+def test_mul_exponents_past_a_byte_and_negative():
+    zv = ("z1", "z2")
+    z1, z2 = gens(zv)
+    one = Polynomial.one(zv)
+    big = assert_product(z1 ** 256 + z2 ** 3, z1 + one)
+    assert big.coefficient((257, 0)) == 1
+    laurent = Polynomial(zv, {(-2, 1): 3, (0, -1): -1, (1, 1): 2})
+    assert_product(laurent, z1 - z2)
+    assert assert_product(laurent, laurent).coefficient((-4, 2)) == 9
+
+
+def test_mul_of_zero_variable_constants():
+    three, two = Polynomial.constant(3, ()), Polynomial.constant(2, ())
+    assert three * two == Polynomial.constant(6, ())
+    assert (three * Polynomial.zero(())).is_zero()
+    assert (Polynomial.zero(()) * two).is_zero()
+    assert Polynomial.constant(-7, ()) ** 3 == Polynomial.constant(-343, ())
+    assert 5 * three == Polynomial.constant(15, ())
 
 
 def test_square_of_binomial():
