@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .kz import KZInstance
+from .kz import Check, KZInstance, failure_site
 from .padic import PAdic, binom_half_fraction
 from .sparsepoly import (
     Polynomial,
@@ -423,20 +423,7 @@ def component_polynomials(st: SeriesTruncation, monomial) -> list:
     return out
 
 
-@dataclass
-class FactorizationReport:
-    """Two-path check: substitution pipeline against the closed truncation."""
-
-    factorization_ok: bool
-    constant_term_ok: bool
-    first_mismatch: dict | None
-
-    @property
-    def passed(self) -> bool:
-        return self.factorization_ok and self.constant_term_ok
-
-
-def factorization_report(inst: KZInstance, l: int) -> FactorizationReport:
+def factorization_report(inst: KZInstance, l: int) -> Check:
     """Assert hat solution == prefactor * truncation, coefficient by coefficient."""
     hat = hat_solution(inst, l)
     st = truncated_expansion(inst, l)
@@ -447,11 +434,7 @@ def factorization_report(inst: KZInstance, l: int) -> FactorizationReport:
         tuple(e + pe for e, pe in zip(exp, pre.exponents)): pre.sign * c
         for exp, c in upoly.items()
     }) for upoly in upolys])
-    site = (rebuilt - hat).first_term()
-    first = None
-    if site:
-        comp, mono, coeff = site
-        first = {"component": comp, "monomial": list(mono), "coefficient": coeff}
+    first = failure_site(rebuilt - hat)
     cvec = constant_vector(inst, l)
     const_ok = True
     for j in range(inst.n):
@@ -459,29 +442,11 @@ def factorization_report(inst: KZInstance, l: int) -> FactorizationReport:
         got = upolys[j].get(zero_key, 0)
         if got != cvec[j]:
             const_ok = False
-    return FactorizationReport(site is None, const_ok, first)
+    return Check(passed=first is None and const_ok, factorization_ok=first is None,
+                 constant_term_ok=const_ok, first_mismatch=first)
 
 
 # -- truncation vs series, index by index ----------------------------------------
-
-@dataclass
-class CorrespondenceRow:
-    a: tuple
-    component: int
-    difference_valuation: int   # certified valuation (precision-clamped)
-    bound: int
-    vacuous: bool
-    ok: bool
-
-
-@dataclass
-class CorrespondenceReport:
-    rows: list
-
-    @property
-    def passed(self) -> bool:
-        return all(r.ok for r in self.rows)
-
 
 def coefficient_difference_bound(p: int, s: int, n: int, l: int, a, j: int) -> int:
     """Valuation bound for the truncation-minus-series coefficient at (a, j).
@@ -504,8 +469,12 @@ def coefficient_difference_bound(p: int, s: int, n: int, l: int, a, j: int) -> i
     return max(0, best)
 
 
-def truncation_correspondence(inst: KZInstance, l: int, D: int) -> CorrespondenceReport:
-    """Compare truncation and series coefficients index by index up to degree D."""
+def truncation_correspondence(inst: KZInstance, l: int, D: int) -> Check:
+    """Compare truncation and series coefficients index by index up to degree D.
+
+    A row per index a and component: the certified valuation of the
+    difference (precision-clamped) against its bound.
+    """
     if D > inst.ctx.half:
         raise ValueError("cutoff exceeds the truncation's index range")
     p, s, n = inst.ctx.p, inst.ctx.s, inst.n
@@ -521,8 +490,9 @@ def truncation_correspondence(inst: KZInstance, l: int, D: int) -> Correspondenc
             diff = PAdic(p, N, tval) - svec[j - 1]
             val = diff.norm_exponent()
             bound = coefficient_difference_bound(p, s, n, l, a, j)
-            rows.append(CorrespondenceRow(a, j, val, bound, bound == 0, val >= bound))
-    return CorrespondenceReport(rows)
+            rows.append({"a": a, "component": j, "difference_valuation": val,
+                         "bound": bound, "vacuous": bound == 0, "ok": val >= bound})
+    return Check(passed=all(r["ok"] for r in rows), rows=rows)
 
 
 # -- x-coordinate forms ------------------------------------------------------------
@@ -549,29 +519,7 @@ def q_consistency_report(inst: KZInstance, l: int) -> bool:
 
 # -- membership of shifted solutions in the solution module -----------------------
 
-@dataclass
-class TranslationRow:
-    index: int              # x-power i whose slice enters the expansion
-    shift: int              # e = i - (l p**s - 1), the z_n power
-    level: int              # u = min(v_p(i+1), s)
-    generator: int          # v with i + 1 = v p**u
-    valuation_ok: bool
-    quasi_constant_ok: bool
-
-
-@dataclass
-class TranslationMembershipReport:
-    rows: list
-    exact_ok: bool
-    diagonal_unit: bool
-
-    @property
-    def passed(self) -> bool:
-        return (self.exact_ok and self.diagonal_unit
-                and all(r.valuation_ok and r.quasi_constant_ok for r in self.rows))
-
-
-def translation_membership(inst: KZInstance, l: int) -> TranslationMembershipReport:
+def translation_membership(inst: KZInstance, l: int) -> Check:
     """Rewrite the x-shifted solution over the straight solution family.
 
     Expanding (v + z_n)**i gives, exactly over Z,
@@ -579,7 +527,8 @@ def translation_membership(inst: KZInstance, l: int) -> TranslationMembershipRep
     and each summand classifies as p**(s-u) times a quasi-constant multiple
     of the generator at index v p**u - 1 = i, where u = min(v_p(i+1), s).
     The i = k summand has unit coefficient, so the triangular system also
-    inverts, giving equality of the two filtrations.
+    inverts, giving equality of the two filtrations.  A row per summand i
+    gives its shift e = i - k (the z_n power), u and v.
     """
     from .padic import int_valuation
     from .solutions import extract_at_index, is_quasi_constant, minimal_mvec
@@ -610,6 +559,9 @@ def translation_membership(inst: KZInstance, l: int) -> TranslationMembershipRep
             qc_ok = False
         if e == 0:
             diagonal_unit = c == 1
-        rows.append(TranslationRow(i, e, u, v, val_ok, qc_ok))
+        rows.append({"index": i, "shift": e, "level": u, "generator": v,
+                     "valuation_ok": val_ok, "quasi_constant_ok": qc_ok})
     exact = total == target
-    return TranslationMembershipReport(rows, exact, diagonal_unit)
+    return Check(passed=exact and diagonal_unit and all(
+                     r["valuation_ok"] and r["quasi_constant_ok"] for r in rows),
+                 rows=rows, exact_ok=exact, diagonal_unit=diagonal_unit)

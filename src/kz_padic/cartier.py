@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .kz import KZInstance
+from .kz import Check, KZInstance, failure_site
 from .sparsepoly import ModulusContext, Polynomial, PolyVector, product_power_slice, z_variables
 
 
@@ -91,23 +91,6 @@ def matmul(A: CartierMatrix, B: CartierMatrix) -> CartierMatrix:
     return CartierMatrix(A.p, A.n, rows)
 
 
-@dataclass
-class GradingReport:
-    """Per-l outcome of the multiplication-by-p congruence at one level step."""
-
-    t: int
-    matches: list               # bool per l = 1..g
-    first_mismatch: dict | None
-
-    @property
-    def passed(self) -> bool:
-        return all(self.matches)
-
-    def to_json(self) -> dict:
-        return {"t": self.t, "matches": self.matches,
-                "first_mismatch": self.first_mismatch, "pass": self.passed}
-
-
 def _level_solution(inst: KZInstance, t: int, l: int) -> PolyVector:
     from .solutions import extract_solution
 
@@ -128,7 +111,7 @@ def _lowered_differences(inst: KZInstance, t: int, base_level: int,
     return diffs
 
 
-def verify_grading_relation(inst: KZInstance, t: int) -> GradingReport:
+def verify_grading_relation(inst: KZInstance, t: int) -> Check:
     """Check I at level t = sum_m (level t-1 solution)_m * C_m^l(z**(p**(t-1))) mod p."""
     if not 2 <= t <= inst.ctx.s:
         raise ValueError(f"t={t} outside 2..{inst.ctx.s}")
@@ -136,13 +119,9 @@ def verify_grading_relation(inst: KZInstance, t: int) -> GradingReport:
     diffs = _lowered_differences(inst, t, t - 1, C)
     first_mismatch = None
     for l, diff in enumerate(diffs, 1):
-        site = diff.first_term()
-        if site:
-            comp, mono, coeff = site
-            first_mismatch = {"l": l, "component": comp, "monomial": list(mono),
-                              "coefficient": coeff}
-            break
-    return GradingReport(t, [diff.is_zero() for diff in diffs], first_mismatch)
+        first_mismatch = first_mismatch or failure_site(diff, l=l)
+    matches = [diff.is_zero() for diff in diffs]
+    return Check(passed=all(matches), t=t, matches=matches, first_mismatch=first_mismatch)
 
 
 def iterated_product(inst: KZInstance, t: int, m: int) -> CartierMatrix:
@@ -160,17 +139,7 @@ def iterated_product(inst: KZInstance, t: int, m: int) -> CartierMatrix:
     return product
 
 
-@dataclass
-class IteratedReport:
-    product: CartierMatrix
-    reformulation_ok: bool | None
-
-    @property
-    def passed(self) -> bool:
-        return self.reformulation_ok is not False
-
-
-def verify_iterated_product(inst: KZInstance, t: int, m: int) -> IteratedReport:
+def verify_iterated_product(inst: KZInstance, t: int, m: int) -> Check:
     """For t = s, m = s-1 also check the fully lowered reformulation:
 
     the level-s solution reduces mod p to the level-1 solutions paired with
@@ -180,4 +149,4 @@ def verify_iterated_product(inst: KZInstance, t: int, m: int) -> IteratedReport:
     reform = None
     if t == inst.ctx.s and m == inst.ctx.s - 1 and m >= 1:
         reform = all(diff.is_zero() for diff in _lowered_differences(inst, t, 1, product))
-    return IteratedReport(product, reform)
+    return Check(passed=reform is not False, product=product, reformulation_ok=reform)

@@ -79,6 +79,12 @@ def _require(args, *names) -> None:
             raise ValueError(f"--{name} is required")
 
 
+def _at_least(args, name: str, least: int) -> None:
+    value = getattr(args, name)
+    if value is not None and value < least:
+        raise ValueError(f"--{name} {value} is below {least}")
+
+
 def _instance(args) -> KZInstance:
     _require(args, "p", "s", "n", "l")
     return KZInstance(args.n, ModulusContext(args.p, args.s))
@@ -214,7 +220,8 @@ def cmd_cartier(args):
     artifact = {"schema": SCHEMA, "kind": "cartier", "matrix": C.to_json(),
                 "degrees_ok": ok}
     if args.verify:
-        t = args.t if args.t else 2
+        _at_least(args, "t", 2)
+        t = args.t if args.t is not None else 2
         inst = KZInstance(args.n, ModulusContext(args.p, t))
         grading = verify_grading_relation(inst, t)
         artifact["grading"] = grading.to_json()
@@ -250,14 +257,19 @@ def cmd_asympt(args):
 
 
 def cmd_converge(args):
+    _at_least(args, "smax", 1)
+    _at_least(args, "samples", 1)
     if args.classic:
-        p = args.p if args.p else 5
-        smax = args.smax if args.smax else 3
+        p = args.p if args.p is not None else 5
+        smax = args.smax if args.smax is not None else 3
         report = classic_partial_sums(p, range(1, smax + 1))
         artifact = {"schema": SCHEMA, "kind": "classic", **report.to_json()}
         return (0 if report.passed else 1), artifact
 
     _require(args, "p", "n", "l", "smax")
+    g = (args.n - 1) // 2
+    if not 1 <= args.l <= g:
+        raise ValueError(f"--l {args.l} is outside 1..{g} for --n {args.n}")
     samples = args.samples if args.samples is not None else 50
     seed = args.seed if args.seed is not None else 0
     prec = args.prec if args.prec is not None else args.smax + 8
@@ -273,11 +285,7 @@ def cmd_converge(args):
     ok = report.passed
     if args.n == 5:
         probe = disjoint_domain_probe(args.p, 10_000, seed)
-        artifact["disjoint_domains"] = {
-            "points": probe.points, "in_first": probe.in_first,
-            "in_second": probe.in_second, "in_both": probe.in_both,
-            "reason": probe.reason, "pass": probe.passed,
-        }
+        artifact["disjoint_domains"] = probe.to_json()
         ok = ok and probe.passed
     return (0 if ok else 1), artifact
 

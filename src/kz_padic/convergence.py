@@ -35,7 +35,6 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .asymptotic import (
@@ -48,7 +47,7 @@ from .asymptotic import (
     series_indices,
     x_monomial,
 )
-from .kz import KZInstance
+from .kz import Check, KZInstance
 from .padic import (
     DiscSpec,
     PAdic,
@@ -78,18 +77,7 @@ def sample_disc(p: int, spec: DiscSpec, count: int, seed: int, N: int) -> list:
 
 # -- Teichmuller power-tower convergence -------------------------------------------
 
-@dataclass
-class PowerTowerReport:
-    step_bounds_ok: bool
-    limit_bound_ok: bool
-    worst_step_val: int
-
-    @property
-    def passed(self) -> bool:
-        return self.step_bounds_ok and self.limit_bound_ok
-
-
-def check_xps_convergence(p: int, alpha: int, samples, s_max: int, N: int) -> PowerTowerReport:
+def check_xps_convergence(p: int, alpha: int, samples, s_max: int, N: int) -> Check:
     """Per sample t: |t**(p**(s+1)) - t**(p**s)| <= p**-(s+1), and the tower
     at s_max sits within p**-s_max of the Teichmuller limit."""
     if s_max + 1 >= N:
@@ -112,7 +100,8 @@ def check_xps_convergence(p: int, alpha: int, samples, s_max: int, N: int) -> Po
                 steps_ok = False
         if (powers[s_max] - omega_t).norm_exponent() < s_max:
             limit_ok = False
-    return PowerTowerReport(steps_ok, limit_ok, worst)
+    return Check(passed=steps_ok and limit_ok, step_bounds_ok=steps_ok,
+                 limit_bound_ok=limit_ok, worst_step_val=worst)
 
 
 def nonresidue_alternation(p: int, alpha: int, s: int, N: int) -> bool:
@@ -128,31 +117,12 @@ def nonresidue_alternation(p: int, alpha: int, s: int, N: int) -> bool:
 
 # -- half-integer binomial approximation bound --------------------------------------
 
-@dataclass
-class BinBoundRow:
-    s: int
-    a: int
-    valuation: int | None   # None: difference exactly zero
-    bound: int
-    active: bool
-    ok: bool
-
-
-@dataclass
-class BinBoundReport:
-    rows: list
-    smallest_passing_s: int | None
-
-    @property
-    def passed(self) -> bool:
-        return all(r.ok for r in self.rows)
-
-
-def check_bin_bound(p: int, l1: int, l2: int, a_max: int, s_values) -> BinBoundReport:
+def check_bin_bound(p: int, l1: int, l2: int, a_max: int, s_values) -> Check:
     """|binom(-1/2-l1, l2+a) - binom((p**s-1)/2-l1, l2+a)| <= p**-(s-(l1+l2)-a).
 
     Exact rational arithmetic; the integer bound uses ceil(d) = l1 + l2 for
-    d = l1 + l2 - 1/2.  Rows outside the hypothesis range are skipped.
+    d = l1 + l2 - 1/2.  Rows outside the hypothesis range are skipped; a
+    row's valuation is None when the difference is exactly zero.
     """
     rows = []
     per_s_ok: dict = {}
@@ -166,10 +136,11 @@ def check_bin_bound(p: int, l1: int, l2: int, a_max: int, s_values) -> BinBoundR
             val = fraction_valuation(exact, p)
             bound = s - (l1 + l2) - a
             ok = val is None or val >= bound
-            rows.append(BinBoundRow(s, a, val, bound, bound > 0, ok))
+            rows.append({"s": s, "a": a, "valuation": val, "bound": bound,
+                         "active": bound > 0, "ok": ok})
             per_s_ok[s] = per_s_ok.get(s, True) and ok
     smallest = next((s for s in sorted(per_s_ok) if per_s_ok[s]), None)
-    return BinBoundReport(rows, smallest)
+    return Check(passed=all(r["ok"] for r in rows), rows=rows, smallest_passing_s=smallest)
 
 
 # -- zone sums by per-slot generating functions ---------------------------------------
@@ -365,70 +336,32 @@ def difference_envelope(p: int, s: int, n: int, l: int, cutoff: int,
 
 # -- convergence experiments ------------------------------------------------------------
 
-@dataclass
-class ConvergenceRow:
-    s: int
-    measured_val: int       # min valuation of the difference over samples/components
-    bound_val: int
-    bound_ok: bool          # bound holds at every sample
-    clamped: bool           # measurement hit the precision floor
-    phase: str = ""
-
-
-@dataclass
-class ConvergenceReport:
-    p: int
-    n: int
-    l: int
-    seed: int
-    sample_count: int
-    precision: int
-    rows: list = field(default_factory=list)
-    constant_term_vals: dict = field(default_factory=dict)
-    strictly_decreasing: bool = False
-    precision_exhausted: bool = False
-    notes: list = field(default_factory=list)
-
-    @property
-    def passed(self) -> bool:
-        return (all(r.bound_ok for r in self.rows)
-                and self.strictly_decreasing and not self.precision_exhausted)
-
-    def to_json(self) -> dict:
-        return {
-            "p": self.p, "n": self.n, "l": self.l, "seed": self.seed,
-            "samples": self.sample_count, "precision": self.precision,
-            "rows": [{"s": r.s, "phase": r.phase, "measured_val": r.measured_val,
-                      "bound_val": r.bound_val, "bound_ok": r.bound_ok,
-                      "clamped": r.clamped} for r in self.rows],
-            "constant_term_vals": {str(k): v for k, v in self.constant_term_vals.items()},
-            "strictly_decreasing": self.strictly_decreasing,
-            "precision_exhausted": self.precision_exhausted,
-            "notes": self.notes,
-            "pass": self.passed,
-        }
-
-
 def _vector_val(diffs) -> int:
     return min(d.norm_exponent() for d in diffs)
 
 
-def _phase_row(s: int, phase: str, diffs_per_sample, bound: int, N: int) -> ConvergenceRow:
-    """Least valuation over the samples' difference vectors, against the bound."""
+def _phase_row(s: int, phase: str, diffs_per_sample, bound: int, N: int) -> dict:
+    """Least valuation over the samples' difference vectors, against the bound.
+
+    The row is clamped when that valuation hit the precision floor N.
+    """
     vals = [_vector_val(diffs) for diffs in diffs_per_sample]
     measured = min(vals)
-    return ConvergenceRow(s, measured, bound, all(v >= bound for v in vals),
-                          measured >= N, phase)
+    return {"s": s, "phase": phase, "measured_val": measured, "bound_val": bound,
+            "bound_ok": all(v >= bound for v in vals), "clamped": measured >= N}
 
 
-def _settle(report: ConvergenceReport) -> None:
-    """Verdicts over the rows: each phase's valuation rises with s; none clamped."""
+def _settle(rows: list, **fields) -> Check:
+    """Verdict over the rows: every bound holds, each phase's valuation rises
+    with s, and none is clamped."""
     phases: dict = {}
-    for r in report.rows:
-        phases.setdefault(r.phase, []).append(r.measured_val)
-    report.strictly_decreasing = all(b > a for vals in phases.values()
-                                     for a, b in zip(vals, vals[1:]))
-    report.precision_exhausted = any(r.clamped for r in report.rows)
+    for r in rows:
+        phases.setdefault(r["phase"], []).append(r["measured_val"])
+    decreasing = all(b > a for vals in phases.values() for a, b in zip(vals, vals[1:]))
+    exhausted = any(r["clamped"] for r in rows)
+    return Check(passed=all(r["bound_ok"] for r in rows) and decreasing and not exhausted,
+                 rows=rows, strictly_decreasing=decreasing, precision_exhausted=exhausted,
+                 **fields)
 
 
 def least_precision(s_max: int) -> int:
@@ -437,7 +370,7 @@ def least_precision(s_max: int) -> int:
 
 
 def converge_T_n3(p: int, s_max: int, count: int, seed: int, N: int,
-                  beta: int = 1) -> ConvergenceReport:
+                  beta: int = 1) -> Check:
     """n = 3 protocol: truncations against the series, then with prefactors.
 
     Samples put u_2 in the zero disc and u_1 in the disc of beta**2; the
@@ -448,7 +381,7 @@ def converge_T_n3(p: int, s_max: int, count: int, seed: int, N: int,
     if N < least_precision(s_max):
         raise PrecisionError(f"N={N} too small for s_max={s_max}")
     _check_desk(p, 3, 1, s_max, count, N)
-    report = ConvergenceReport(p, 3, 1, seed, count, N)
+    rows, constant_term_vals = [], {}
     u2s = sample_disc(p, DiscSpec(0), count, seed, N)
     alpha = (beta * beta) % p
     u1s = sample_disc(p, DiscSpec(alpha), count, seed + 1, N)
@@ -467,29 +400,30 @@ def converge_T_n3(p: int, s_max: int, count: int, seed: int, N: int,
         envelope = difference_envelope(p, s, 3, 1, cutoff, False)
 
         # truncation vs series, no prefactor
-        report.rows.append(_phase_row(s, "series-only", (
+        rows.append(_phase_row(s, "series-only", (
             [PAdic(p, N, a - b) for a, b in zip(tvals, svals)]
             for tvals, svals in zip(trunc_vals, series_vals)), envelope, N))
 
         # constant-term distance (exactly p**-s)
         cvec = constant_vector(inst, 1)
         cdiff = [PAdic(p, N, c) - sc for c, sc in zip(cvec, const_series)]
-        report.constant_term_vals[s] = _vector_val(cdiff)
+        constant_term_vals[str(s)] = _vector_val(cdiff)  # str keys fix the artifact's order
 
         # with prefactor: u1**((p**s - 3)/2) T vs w(beta) u1**(-3/2) T-series
-        report.rows.append(_phase_row(s, "with-prefactor", (
+        rows.append(_phase_row(s, "with-prefactor", (
             [u1 ** (M - 1) * tv - rhs_scale * sv for tv, sv in zip(tvals, svals)]
             for u1, rhs_scale, tvals, svals in zip(u1s, scales, trunc_vals, series_vals)),
             min(envelope, s + 1), N))
 
-    _settle(report)
-    if report.precision_exhausted:
-        report.notes.append("some differences vanished at working precision")
-    return report
+    check = _settle(rows, p=p, n=3, l=1, seed=seed, samples=count, precision=N,
+                    constant_term_vals=constant_term_vals, notes=[])
+    if check.precision_exhausted:
+        check.notes.append("some differences vanished at working precision")
+    return check
 
 
 def converge_Q_general(p: int, n: int, l: int, s_max: int, count: int, seed: int,
-                       N: int, beta: int = 1) -> ConvergenceReport:
+                       N: int, beta: int = 1) -> Check:
     """x-coordinate protocol: x_1**M Q-truncation vs w(beta) x_1**(-1/2) Q-series.
 
     Samples put x_1 in the disc of beta**2 and x_2..x_{n-1} in the zero disc.
@@ -499,7 +433,7 @@ def converge_Q_general(p: int, n: int, l: int, s_max: int, count: int, seed: int
     check_index(n, l)
     KZInstance(n, ModulusContext(p, 1))     # p and n are checked before any work
     _check_desk(p, n, l, s_max, count, N)
-    report = ConvergenceReport(p, n, l, seed, count, N)
+    rows = []
     alpha = (beta * beta) % p
     x1s = sample_disc(p, DiscSpec(alpha), count, seed, N)
     rest = [sample_disc(p, DiscSpec(0), count, seed + 10 + i, N) for i in range(n - 2)]
@@ -514,31 +448,18 @@ def converge_Q_general(p: int, n: int, l: int, s_max: int, count: int, seed: int
         M = (p ** s - 1) // 2
         trunc_vals = _truncation_sums(n, l, M, points, p, N)
         bound = difference_envelope(p, s, n, l, cutoff, True)
-        report.rows.append(_phase_row(s, "J-form", (
+        rows.append(_phase_row(s, "J-form", (
             [x1 ** M * tv - rhs_scale * sv for tv, sv in zip(tvals, svals)]
             for x1, rhs_scale, tvals, svals in zip(x1s, scales, trunc_vals, series_vals)),
             bound, N))
 
-    _settle(report)
-    return report
+    return _settle(rows, p=p, n=n, l=l, seed=seed, samples=count, precision=N,
+                   constant_term_vals={}, notes=[])
 
 
 # -- disjointness of the n = 5 convergence domains ---------------------------------------
 
-@dataclass
-class DisjointReport:
-    points: int
-    in_first: int
-    in_second: int
-    in_both: int
-    reason: str
-
-    @property
-    def passed(self) -> bool:
-        return self.in_both == 0
-
-
-def disjoint_domain_probe(p: int, count: int, seed: int) -> DisjointReport:
+def disjoint_domain_probe(p: int, count: int, seed: int) -> Check:
     """Membership predicates of the two n=5 convergence domains never overlap.
 
     Points are sampled with valuations in [-2, 2] per coordinate.  The first
@@ -575,50 +496,23 @@ def disjoint_domain_probe(p: int, count: int, seed: int) -> DisjointReport:
     reason = ("first domain forces val(u2^2 u3) = 0 with val(u1) = 0, "
               "second forces val(u2) >= 1, hence val(u3) <= -2, "
               "contradicting val(u3) >= 1 in the first")
-    return DisjointReport(count, first, second, both, reason)
+    return Check(passed=both == 0, points=count, in_first=first, in_second=second,
+                 in_both=both, reason=reason)
 
 
 # -- the classical one-variable partial sums ----------------------------------------------
 
-@dataclass
-class ClassicRow:
-    s: int
-    coefficientwise_equal: bool
-    mismatches: list        # (k, half-binomial residue, integer-binomial residue)
-    refined_ok: bool        # val(coefficient k of the difference) >= s - v_p(k!)
-
-
-@dataclass
-class ClassicReport:
-    p: int
-    rows: list
-
-    @property
-    def passed(self) -> bool:
-        return all(r.coefficientwise_equal for r in self.rows)
-
-    def to_json(self) -> dict:
-        return {
-            "p": self.p,
-            "rows": [{
-                "s": r.s,
-                "coefficientwise_equal": r.coefficientwise_equal,
-                "mismatches": [[k, str(a), str(b)] for k, a, b in r.mismatches],
-                "refined_ok": r.refined_ok,
-            } for r in self.rows],
-            "pass": self.passed,
-        }
-
-
-def classic_partial_sums(p: int, s_values) -> ClassicReport:
+def classic_partial_sums(p: int, s_values) -> Check:
     """Compare sum binom(-1/2,k)**2 z**k with sum binom(M,k)**2 z**k mod p**s.
 
-    The comparison is coefficientwise and exact.  The report also records
-    the provable refinement: coefficient k of the difference,
-    binom(-1/2,k)**2 - binom(M,k)**2, has valuation at least s - v_p(k!),
-    which forces the coefficientwise p-adic limit but is weaker than
-    agreement mod p**s once k reaches p.
+    The comparison is coefficientwise and exact; a row lists each mismatch
+    as [k, half-binomial residue, integer-binomial residue], the residues as
+    decimal strings.  The report also records the provable refinement:
+    coefficient k of the difference, binom(-1/2,k)**2 - binom(M,k)**2, has
+    valuation at least s - v_p(k!), which forces the coefficientwise p-adic
+    limit but is weaker than agreement mod p**s once k reaches p.
     """
+    ModulusContext(p, 1)  # validates that p is an odd prime
     rows = []
     for s in s_values:
         M = (p ** s - 1) // 2
@@ -631,10 +525,11 @@ def classic_partial_sums(p: int, s_values) -> ClassicReport:
             lhs = PAdic.from_fraction(half_sq, p, s).residue
             rhs = int_sq % mod
             if lhs != rhs:
-                mismatches.append((k, lhs, rhs))
+                mismatches.append([k, str(lhs), str(rhs)])
             dval = fraction_valuation(half_sq - int_sq, p)
             need = s - (int_valuation(math.factorial(k), p) or 0)
             if dval is not None and dval < need:
                 refined = False
-        rows.append(ClassicRow(s, not mismatches, mismatches, refined))
-    return ClassicReport(p, rows)
+        rows.append({"s": s, "coefficientwise_equal": not mismatches,
+                     "mismatches": mismatches, "refined_ok": refined})
+    return Check(passed=all(r["coefficientwise_equal"] for r in rows), p=p, rows=rows)

@@ -39,6 +39,7 @@ operator as ``kz_residue``.
 from __future__ import annotations
 
 import random
+import types
 from dataclasses import dataclass, field
 
 from .sparsepoly import ModulusContext, Polynomial, PolyVector, z_variables
@@ -185,41 +186,26 @@ def kz_residue(I: PolyVector, i: int, inst: KZInstance) -> PolyVector:
     return PolyVector([Polynomial(I.vars, _reduce(c, m)) for c in comps])
 
 
-@dataclass
-class FailureSite:
-    equation: int | str
-    component: int
-    monomial: tuple
-    coefficient: int
+class Check(types.SimpleNamespace):
+    """A verdict: ``passed`` and the measured fields it was computed from."""
 
     def to_json(self) -> dict:
-        return {
-            "equation": self.equation,
-            "component": self.component,
-            "monomial": list(self.monomial),
-            "coefficient": str(self.coefficient),
-        }
+        """The fields, with ``passed`` under the key "pass"."""
+        out = dict(vars(self))
+        out["pass"] = out.pop("passed")
+        return out
 
 
-@dataclass
-class SolutionCheck:
-    sum_ok: bool
-    equations: list
-    first_failure: FailureSite | None
-    point_checks: list
+def failure_site(vec: PolyVector, **where) -> dict | None:
+    """Component, least monomial and coefficient of the first nonzero entry, or None.
 
-    @property
-    def passed(self) -> bool:
-        return self.sum_ok and all(self.equations) and all(self.point_checks)
-
-    def to_json(self) -> dict:
-        return {
-            "sum_ok": self.sum_ok,
-            "equations": self.equations,
-            "point_checks": self.point_checks,
-            "first_failure": self.first_failure.to_json() if self.first_failure else None,
-            "pass": self.passed,
-        }
+    The keys of ``where`` name the failing check and override those three.
+    """
+    site = vec.first_term()
+    if site is None:
+        return None
+    comp, mono, coeff = site
+    return {"component": comp, "monomial": list(mono), "coefficient": coeff, **where}
 
 
 def _distinct_point(rng: random.Random, inst: KZInstance) -> list:
@@ -230,7 +216,7 @@ def _distinct_point(rng: random.Random, inst: KZInstance) -> list:
 
 
 def verify_solution(I: PolyVector, inst: KZInstance, point_checks: int = 4,
-                    seed: int = 0) -> SolutionCheck:
+                    seed: int = 0) -> Check:
     """Check the sum constraint and every cleared equation residual mod p**s."""
     m = inst.ctx.modulus
     total = I.sum_entries().reduce_mod(m)
@@ -239,16 +225,11 @@ def verify_solution(I: PolyVector, inst: KZInstance, point_checks: int = 4,
     residues = [kz_residue(I, i, inst) for i in indices]
 
     equations = [r.is_zero() for r in residues]
-    first_failure = None
-    if not sum_ok:
-        _, mono, coeff = PolyVector([total]).first_term()
-        first_failure = FailureSite("sum", 0, mono, coeff)
-    else:
-        for i, r in zip(indices, residues):
-            site = r.first_term()
-            if site:
-                first_failure = FailureSite(i, *site)
-                break
+    first_failure = failure_site(PolyVector([total]), equation="sum", component=0)
+    for i, r in zip(indices, residues):
+        first_failure = first_failure or failure_site(r, equation=i)
+    if first_failure:
+        first_failure["coefficient"] = str(first_failure["coefficient"])
 
     rng = random.Random(seed)
     points = []
@@ -259,28 +240,8 @@ def verify_solution(I: PolyVector, inst: KZInstance, point_checks: int = 4,
             for r in residues
         )
         points.append(ok)
-    return SolutionCheck(sum_ok, equations, first_failure, points)
-
-
-@dataclass
-class MasterIdentityCheck:
-    """Outcome of the two defining identities of the master polynomial."""
-
-    derivative_sum_exact: bool      # sum_j M_j Phi/(x-z_j) == dPhi/dx over Z
-    derivative_sum_mod: bool        # M * sum_j Phi/(x-z_j) == dPhi/dx mod p^s
-    vector_identities: list         # cleared equation-wise identity mod p^s
-
-    @property
-    def passed(self) -> bool:
-        return self.derivative_sum_exact and self.derivative_sum_mod and all(self.vector_identities)
-
-    def to_json(self) -> dict:
-        return {
-            "derivative_sum_exact": self.derivative_sum_exact,
-            "derivative_sum_mod": self.derivative_sum_mod,
-            "vector_identities": self.vector_identities,
-            "pass": self.passed,
-        }
+    return Check(passed=sum_ok and all(equations) and all(points), sum_ok=sum_ok,
+                 equations=equations, point_checks=points, first_failure=first_failure)
 
 
 def master_vector_identities(P: PolyVector, inst: KZInstance) -> list:
@@ -300,7 +261,7 @@ def master_vector_identities(P: PolyVector, inst: KZInstance) -> list:
             for i in range(1, inst.n + 1)]
 
 
-def verify_master_identities(inst: KZInstance, mvec) -> MasterIdentityCheck:
+def verify_master_identities(inst: KZInstance, mvec) -> Check:
     """Symbolically verify the identities behind the solution construction.
 
     Over the exact integers, sum_j M_j Phi/(x-z_j) equals dPhi/dx; with every
@@ -321,4 +282,6 @@ def verify_master_identities(inst: KZInstance, mvec) -> MasterIdentityCheck:
         total = total + comp.scale(Mi)
     exact = total == dphi
     mod_ok = (P.sum_entries().scale(inst.ctx.half) - dphi).reduce_mod(m).is_zero()
-    return MasterIdentityCheck(exact, mod_ok, master_vector_identities(P, inst))
+    identities = master_vector_identities(P, inst)
+    return Check(passed=exact and mod_ok and all(identities), derivative_sum_exact=exact,
+                 derivative_sum_mod=mod_ok, vector_identities=identities)

@@ -16,7 +16,7 @@ import math
 import warnings
 from dataclasses import dataclass
 
-from .kz import KZInstance
+from .kz import Check, KZInstance
 from .padic import binom_prime_power_valuation, int_valuation
 from .sparsepoly import (
     Polynomial,
@@ -329,34 +329,7 @@ def raised_mvec(inst: KZInstance, mvec, j: int) -> tuple:
     return tuple(out)
 
 
-@dataclass
-class ShiftRow:
-    """One summand of the raising identity, classified as a module term."""
-
-    a: int
-    carry: int              # c with a = b p**c (c = s for a in {0, p**s})
-    level: int              # u = min(r, c)
-    index: int              # v with l p**r - a = v p**u  (None when the term dies)
-    binom_valuation: int
-    coefficient: Polynomial | None
-    quasi_constant: bool
-
-
-@dataclass
-class ShiftRelationReport:
-    exact: bool
-    rows: list
-
-    @property
-    def all_classified(self) -> bool:
-        return all(row.quasi_constant for row in self.rows if row.index is not None)
-
-    @property
-    def passed(self) -> bool:
-        return self.exact and self.all_classified
-
-
-def verify_shift_relation(inst: KZInstance, mvec, j: int, l: int, r: int) -> ShiftRelationReport:
+def verify_shift_relation(inst: KZInstance, mvec, j: int, l: int, r: int) -> Check:
     """Check the exact expansion of a solution after raising slot j by p**s.
 
     With mvec' = mvec + p**s e_j the master polynomial gains the factor
@@ -366,6 +339,9 @@ def verify_shift_relation(inst: KZInstance, mvec, j: int, l: int, r: int) -> Shi
             P^{l p**r - a - 1}(z, mvec)
     holds exactly over Z.  Each summand is classified as p**(r-u) times a
     quasi-constant multiple of a level-u generator, u = min(r, v_p(a)).
+    A row per summand a gives its carry c (a = b p**c; c = s for a in
+    {0, p**s}), u, the index v with l p**r - a = v p**u (None when the
+    summand dies), the binomial's valuation and the coefficient polynomial.
     """
     mvec = validate_mvec(inst, mvec)
     p, s = inst.ctx.p, inst.ctx.s
@@ -387,35 +363,29 @@ def verify_shift_relation(inst: KZInstance, mvec, j: int, l: int, r: int) -> Shi
         bval = 0 if a in (0, ps) else binom_prime_power_valuation(p, s, a)
         u = min(r, carry)
         if l * p ** r <= a:
-            rows.append(ShiftRow(a, carry, u, None, bval, None, True))
+            rows.append({"a": a, "carry": carry, "level": u, "index": None,
+                         "binom_valuation": bval, "coefficient": None, "quasi_constant": True})
             continue
         v = (l * p ** r - a) // p ** u
         unit = signed // p ** (r - u)
         dpoly = (zj ** (ps - a)).scale(unit)
-        rows.append(ShiftRow(a, carry, u, v, bval, dpoly, is_quasi_constant(dpoly, p, u)))
+        rows.append({"a": a, "carry": carry, "level": u, "index": v, "binom_valuation": bval,
+                     "coefficient": dpoly, "quasi_constant": is_quasi_constant(dpoly, p, u)})
 
-    return ShiftRelationReport(lhs == rhs, rows)
-
-
-@dataclass
-class FamilyMembershipReport:
-    """A generator of one family rewritten inside the other family's module."""
-
-    rows: list              # (level u, index v, coefficient polynomial)
-    assembled_ok: bool
-    coefficients_ok: bool
-
-    @property
-    def passed(self) -> bool:
-        return self.assembled_ok and self.coefficients_ok
+    classified = all(row["quasi_constant"] for row in rows if row["index"] is not None)
+    return Check(passed=lhs == rhs and classified, exact=lhs == rhs,
+                 all_classified=classified, rows=rows)
 
 
-def shift_membership(inst: KZInstance, mvec, j: int, l: int, r: int) -> FamilyMembershipReport:
-    """Membership of a raised-family generator in the base-family module."""
+def shift_membership(inst: KZInstance, mvec, j: int, l: int, r: int) -> Check:
+    """Membership of a raised-family generator in the base-family module.
+
+    Rows are (level u, index v, coefficient polynomial).
+    """
     report = verify_shift_relation(inst, mvec, j, l, r)
     p, s = inst.ctx.p, inst.ctx.s
-    rows = [(row.level, row.index, row.coefficient)
-            for row in report.rows if row.index is not None]
+    rows = [(row["level"], row["index"], row["coefficient"])
+            for row in report.rows if row["index"] is not None]
     total = PolyVector.zero(inst.n, inst.zvars)
     for u, v, c in rows:
         gen = extract_at_index(inst, mvec, v * p ** u - 1)
@@ -423,10 +393,11 @@ def shift_membership(inst: KZInstance, mvec, j: int, l: int, r: int) -> FamilyMe
     target = extract_at_index(inst, raised_mvec(inst, mvec, j), l * p ** r - 1)
     target = target.scale(p ** (s - r))
     assembled = (total - target).reduce_mod(inst.ctx.modulus).is_zero()
-    return FamilyMembershipReport(rows, assembled, report.all_classified)
+    return Check(passed=assembled and report.all_classified, rows=rows,
+                 assembled_ok=assembled, coefficients_ok=report.all_classified)
 
 
-def express_in_shifted_family(inst: KZInstance, mvec, j: int, l: int, r: int) -> FamilyMembershipReport:
+def express_in_shifted_family(inst: KZInstance, mvec, j: int, l: int, r: int) -> Check:
     """Rewrite p**(s-r) I^{[l p**r - 1]}(mvec) over the raised family.
 
     Back-substitution on the raising identity: the identity for the raised
@@ -486,25 +457,13 @@ def express_in_shifted_family(inst: KZInstance, mvec, j: int, l: int, r: int) ->
     target = extract_at_index(inst, mvec, l * p ** r - 1).scale(p ** (s - r))
     assembled = (total - target).reduce_mod(inst.ctx.modulus).is_zero()
     coeffs_ok = all(is_quasi_constant(c, p, u) for u, v, c in flat)
-    return FamilyMembershipReport(flat, assembled, coeffs_ok)
+    return Check(passed=assembled and coeffs_ok, rows=flat, assembled_ok=assembled,
+                 coefficients_ok=coeffs_ok)
 
 
 # -- linear independence over F_p -----------------------------------------------
 
-@dataclass
-class IndependenceReport:
-    leading_monomials_distinct: bool
-    leading_vectors_echelon: bool
-    random_trials: int
-    random_failures: int
-
-    @property
-    def passed(self) -> bool:
-        return (self.leading_monomials_distinct and self.leading_vectors_echelon
-                and self.random_failures == 0)
-
-
-def linear_independence_probe(inst: KZInstance, trials: int = 50, seed: int = 0) -> IndependenceReport:
+def linear_independence_probe(inst: KZInstance, trials: int = 50, seed: int = 0) -> Check:
     """Probe independence of the g solutions over F_p[z].
 
     The leading monomials are pairwise distinct and the leading coefficient
@@ -549,4 +508,6 @@ def linear_independence_probe(inst: KZInstance, trials: int = 50, seed: int = 0)
             combo = combo + gen.scale(c)
         if combo.reduce_mod(p).is_zero():
             failures += 1
-    return IndependenceReport(distinct, echelon, trials, failures)
+    return Check(passed=distinct and echelon and failures == 0,
+                 leading_monomials_distinct=distinct, leading_vectors_echelon=echelon,
+                 random_trials=trials, random_failures=failures)

@@ -110,6 +110,8 @@ class Polynomial:
     # -- ring operations ----------------------------------------------------
 
     def __add__(self, other: "Polynomial") -> "Polynomial":
+        if not isinstance(other, Polynomial):
+            return NotImplemented
         _check_same_vars(self, other)
         merged = dict(self.terms)
         for mono, coeff in other.terms.items():
@@ -128,6 +130,8 @@ class Polynomial:
         return out
 
     def __sub__(self, other: "Polynomial") -> "Polynomial":
+        if not isinstance(other, Polynomial):
+            return NotImplemented
         return self + (-other)
 
     def __mul__(self, other) -> "Polynomial":

@@ -184,12 +184,12 @@ def test_criterion_6_convergence_n3():
     constant-term distance is exactly p**-s."""
     report = converge_T_n3(5, 4, 50, 0, 12)
     ok = (report.passed
-          and report.constant_term_vals == {1: 1, 2: 2, 3: 3, 4: 4}
-          and all(r.bound_ok for r in report.rows)
+          and report.constant_term_vals == {"1": 1, "2": 2, "3": 3, "4": 4}
+          and all(r["bound_ok"] for r in report.rows)
           and not report.precision_exhausted)
     _report("criterion-6 p-adic convergence n=3", ok,
-            "measured vals " + str([r.measured_val for r in report.rows
-                                    if r.phase == "with-prefactor"]))
+            "measured vals " + str([r["measured_val"] for r in report.rows
+                                    if r["phase"] == "with-prefactor"]))
     assert ok
 
 
@@ -245,13 +245,13 @@ def test_criterion_8_classic_partial_sums():
     """
     p, s_values = 5, [1, 2, 3]
     report = classic_partial_sums(p, s_values)
-    assert [row.s for row in report.rows] == s_values
+    assert [row["s"] for row in report.rows] == s_values
 
     # (a) the literal statement at s = 1
-    assert report.rows[0].coefficientwise_equal
+    assert report.rows[0]["coefficientwise_equal"]
 
     for row in report.rows:
-        s = row.s
+        s = row["s"]
         M, mod = (p ** s - 1) // 2, p ** s
         expected = []
         for k in range(M + 1):
@@ -264,19 +264,19 @@ def test_criterion_8_classic_partial_sums():
             lhs = half_sq.numerator * pow(half_sq.denominator, -1, mod) % mod
             rhs = int_sq % mod
             if lhs != rhs:
-                expected.append((k, lhs, rhs))
+                expected.append([k, str(lhs), str(rhs)])
         # (c) the reported literal gaps match the independent computation
-        assert row.mismatches == expected, s
-        assert row.coefficientwise_equal == (not expected)
+        assert row["mismatches"] == expected, s
+        assert row["coefficientwise_equal"] == (not expected)
         # (d) the report's own refined check agrees
-        assert row.refined_ok, s
+        assert row["refined_ok"], s
 
-    assert report.rows[1].mismatches[0] == (5, 4, 14)
+    assert report.rows[1]["mismatches"][0] == [5, "4", "14"]
 
     detail = "; ".join(
-        f"s={row.s}: " + ("equal" if row.coefficientwise_equal else
+        f"s={row['s']}: " + ("equal" if row["coefficientwise_equal"] else
                           "first literal gap k={} ({} vs {} mod {})".format(
-                              *row.mismatches[0], p ** row.s))
+                              *row["mismatches"][0], p ** row["s"]))
         for row in report.rows
     )
     _report("criterion-8 classical partial sums within p**(s - v_p(k!))",

@@ -258,7 +258,7 @@ def test_truncation_correspondence(p, s):
     inst = make(p, s, 3)
     report = truncation_correspondence(inst, 1, min(3, inst.ctx.half))
     assert report.passed
-    active = [r for r in report.rows if not r.vacuous]
+    active = [r for r in report.rows if not r["vacuous"]]
     assert active, "bound must be active somewhere"
 
 
@@ -336,7 +336,7 @@ def test_translation_membership(p, s):
     report = translation_membership(inst, 1)
     assert report.exact_ok
     assert report.diagonal_unit
-    assert all(r.valuation_ok and r.quasi_constant_ok for r in report.rows)
+    assert all(r["valuation_ok"] and r["quasi_constant_ok"] for r in report.rows)
 
 
 def test_zone_functions_reject_out_of_range_index():

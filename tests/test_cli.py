@@ -217,7 +217,7 @@ def test_missing_option_is_usage_error(argv, capsys):
 def test_zero_vector_is_usage_error(argv):
     # outside l = 1..g the minimal exponent vector gives the zero vector,
     # which would pass every check vacuously
-    with pytest.raises(SystemExit) as err:
+    with pytest.raises(SystemExit) as err, pytest.warns(UserWarning, match="zero vector"):
         run(argv)
     assert err.value.code == 2
 
@@ -359,3 +359,26 @@ def test_converge_short_precision_is_usage_error(n, l, capsys):
     assert "--prec 6 is too small for --smax 4; use --prec 7 or more" in capsys.readouterr().err
     assert run(["converge", "--p", 5, "--n", n, "--l", l, "--smax", 4, "--prec", 7,
                 "--samples", 5]) == 0
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["converge", "--p", 5, "--n", 3, "--l", 1, "--smax", 0], "--smax 0 is below 1"),
+    (["converge", "--p", 5, "--n", 5, "--l", 1, "--smax", 0], "--smax 0 is below 1"),
+    (["converge", "--p", 5, "--n", 3, "--l", 2, "--smax", 2], "--l 2 is outside 1..1 for --n 3"),
+    (["converge", "--p", 5, "--n", 3, "--l", 1, "--smax", 2, "--samples", 0],
+     "--samples 0 is below 1"),
+    (["converge", "--p", 5, "--n", 5, "--l", 1, "--smax", 2, "--samples", -3],
+     "--samples -3 is below 1"),
+    (["converge", "--classic", "--smax", 0], "--smax 0 is below 1"),
+    (["converge", "--classic", "--p", 0], "p=0 is not an odd prime"),
+    (["converge", "--classic", "--p", 9], "p=9 is not an odd prime"),
+    (["cartier", "--p", 5, "--n", 3, "--verify", "--t", 0], "--t 0 is below 2"),
+    (["cartier", "--p", 5, "--n", 3, "--verify", "--t", 1], "--t 1 is below 2"),
+], ids=["smax0-n3", "smax0-n5", "l2-n3", "samples0", "samples-negative", "classic-smax0",
+        "classic-p0", "classic-p9", "cartier-t0", "cartier-t1"])
+def test_out_of_range_option_is_usage_error(argv, message, capsys):
+    # each of these once ran vacuously or on a silent default instead
+    with pytest.raises(SystemExit) as err:
+        run(argv)
+    assert err.value.code == 2
+    assert message in capsys.readouterr().err

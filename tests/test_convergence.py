@@ -190,23 +190,24 @@ def test_nonresidue_has_no_limit():
 
 def test_bin_bound_difference_is_half_p_power():
     report = check_bin_bound(5, 0, 0, 1, [1, 2, 3])
-    by_key = {(r.s, r.a): r for r in report.rows}
+    by_key = {(r["s"], r["a"]): r for r in report.rows}
     for s in (1, 2, 3):
         row = by_key[(s, 1)]
-        assert row.valuation == s  # difference is exactly -p^s/2
-        assert row.bound == s - 1
-        assert row.ok
+        assert row["valuation"] == s  # difference is exactly -p^s/2
+        assert row["bound"] == s - 1
+        assert row["ok"]
     assert report.passed
 
 
 def test_bin_bound_degenerate_and_vacuous_rows():
     zero_diff = check_bin_bound(5, 1, 0, 0, [1, 2])
-    assert all(r.valuation is None for r in zero_diff.rows if r.a == 0)
+    assert all(r["valuation"] is None for r in zero_diff.rows if r["a"] == 0)
     rep = check_bin_bound(5, 0, 0, 2, [2])
-    row = [r for r in rep.rows if r.a == 2][0]
-    assert row.bound == 0 and not row.active and row.ok
+    row = [r for r in rep.rows if r["a"] == 2][0]
+    assert row["bound"] == 0 and not row["active"] and row["ok"]
     exact = Fraction(3, 8) - math.comb(12, 2)
-    assert int_valuation(exact.numerator, 5) - int_valuation(exact.denominator, 5) == row.valuation
+    assert (int_valuation(exact.numerator, 5) - int_valuation(exact.denominator, 5)
+            == row["valuation"])
 
 
 def test_bin_bound_grids():
@@ -397,11 +398,11 @@ def test_desk_guard_refuses_before_sampling(monkeypatch):
 def test_converge_t_n3_small():
     report = converge_T_n3(5, 2, 12, 0, 9)
     assert report.passed
-    assert report.constant_term_vals == {1: 1, 2: 2}
-    plain = [r for r in report.rows if r.phase == "series-only"]
-    full = [r for r in report.rows if r.phase == "with-prefactor"]
-    assert [r.bound_val for r in plain] == [1, 2]
-    assert [r.measured_val for r in full] == [1, 2]
+    assert report.constant_term_vals == {"1": 1, "2": 2}
+    plain = [r for r in report.rows if r["phase"] == "series-only"]
+    full = [r for r in report.rows if r["phase"] == "with-prefactor"]
+    assert [r["bound_val"] for r in plain] == [1, 2]
+    assert [r["measured_val"] for r in full] == [1, 2]
 
 
 def test_converge_t_requires_precision():
@@ -427,7 +428,7 @@ def test_zero_point_reduces_to_constant_term():
 def test_converge_q_small_n5():
     for l in (1, 2):
         report = converge_Q_general(5, 5, l, 2, 8, 0, 8)
-        assert report.passed, (l, [r.__dict__ for r in report.rows])
+        assert report.passed, (l, report.rows)
 
 
 def test_converge_q_matches_t_for_n3():
@@ -435,8 +436,8 @@ def test_converge_q_matches_t_for_n3():
     # so the measured valuations coincide
     t_rep = converge_T_n3(5, 2, 10, 3, 9)
     q_rep = converge_Q_general(5, 3, 1, 2, 10, 3, 9)
-    t_full = [r.measured_val for r in t_rep.rows if r.phase == "with-prefactor"]
-    q_full = [r.measured_val for r in q_rep.rows]
+    t_full = [r["measured_val"] for r in t_rep.rows if r["phase"] == "with-prefactor"]
+    q_full = [r["measured_val"] for r in q_rep.rows]
     assert t_full == q_full
 
 
@@ -450,15 +451,14 @@ def test_disjoint_domains():
 def test_classic_partial_sums_reality():
     report = classic_partial_sums(5, [1, 2])
     first, second = report.rows
-    assert first.coefficientwise_equal
-    assert not second.coefficientwise_equal
+    assert first["coefficientwise_equal"]
+    assert not second["coefficientwise_equal"]
     # the first failing coefficient: k = 5, residues 4 vs 14 mod 25
-    k, lhs, rhs = second.mismatches[0]
-    assert (k, lhs, rhs) == (5, 4, 14)
-    assert first.refined_ok and second.refined_ok
+    assert second["mismatches"][0] == [5, "4", "14"]
+    assert first["refined_ok"] and second["refined_ok"]
 
 
 def test_classic_refined_congruence_everywhere():
     for p in (5, 7):
         report = classic_partial_sums(p, [1, 2, 3])
-        assert all(r.refined_ok for r in report.rows)
+        assert all(r["refined_ok"] for r in report.rows)

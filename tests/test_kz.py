@@ -104,7 +104,7 @@ def test_constant_vector_fails_only_the_sum_condition():
     assert all(check.equations)
     assert not check.sum_ok
     assert not check.passed
-    assert check.first_failure.equation == "sum"
+    assert check.first_failure["equation"] == "sum"
 
 
 def test_non_solution_has_nonzero_residual():

@@ -200,11 +200,11 @@ def test_shift_relation_exact():
     assert report.exact
     assert report.all_classified
     # the a = p^s summand has unit binomial but hits a negative index: it dies
-    top = [row for row in report.rows if row.a == 5 ** 1][0]
-    assert top.binom_valuation == 0 and top.index is None
+    top = [row for row in report.rows if row["a"] == 5 ** 1][0]
+    assert top["binom_valuation"] == 0 and top["index"] is None
     for row in report.rows:
-        if row.a not in (0, 5):
-            assert row.binom_valuation == 1 - row.carry
+        if row["a"] not in (0, 5):
+            assert row["binom_valuation"] == 1 - row["carry"]
 
 
 def test_shift_relation_higher_level():
@@ -213,8 +213,8 @@ def test_shift_relation_higher_level():
         report = verify_shift_relation(inst, None, j, l, r)
         assert report.exact and report.all_classified
         for row in report.rows:
-            if row.a not in (0, 25):
-                assert row.binom_valuation == 2 - row.carry
+            if row["a"] not in (0, 25):
+                assert row["binom_valuation"] == 2 - row["carry"]
 
 
 def test_shift_membership_and_back():

@@ -120,6 +120,14 @@ def test_mul_empty_operand_and_scalars():
     assert -1 * f == -f
 
 
+def test_add_and_subtract_reject_an_int():
+    # only products take a bare int; a sum needs Polynomial.constant
+    f = random_poly(random.Random(11), XZ, terms=5)
+    for op in (lambda: f + 1, lambda: f - 1, lambda: 1 + f, lambda: 1 - f):
+        with pytest.raises(TypeError):
+            op()
+
+
 def test_mul_operands_of_very_different_sizes():
     rng = random.Random(10)
     zv = z_variables(4)
