@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass
 
 from .kz import Check, KZInstance, failure_site
-from .padic import PAdic, binom_half_fraction
+from .padic import PAdic, binom_half_fraction, int_valuation
 from .sparsepoly import (
     Polynomial,
     PolyVector,
@@ -26,7 +26,14 @@ from .sparsepoly import (
     slice_size,
     u_variables,
 )
-from .solutions import DESK_TUPLE_LIMIT, DeskEnvelopeError, solution_sign
+from .solutions import (
+    DESK_TUPLE_LIMIT,
+    DeskEnvelopeError,
+    extract_at_index,
+    is_quasi_constant,
+    minimal_mvec,
+    solution_sign,
+)
 
 
 def w_variables(n: int) -> tuple:
@@ -530,9 +537,6 @@ def translation_membership(inst: KZInstance, l: int) -> Check:
     inverts, giving equality of the two filtrations.  A row per summand i
     gives its shift e = i - k (the z_n power), u and v.
     """
-    from .padic import int_valuation
-    from .solutions import extract_at_index, is_quasi_constant, minimal_mvec
-
     p, s = inst.ctx.p, inst.ctx.s
     mvec = minimal_mvec(inst)
     k = l * p ** s - 1

@@ -12,7 +12,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .kz import Check, KZInstance, failure_site
-from .sparsepoly import ModulusContext, Polynomial, PolyVector, product_power_slice, z_variables
+from .solutions import extract_solution
+from .sparsepoly import (
+    ModulusContext,
+    Polynomial,
+    PolyVector,
+    poly_to_json,
+    product_power_slice,
+    z_variables,
+)
 
 
 @dataclass
@@ -48,8 +56,6 @@ class CartierMatrix:
         return True
 
     def to_json(self) -> dict:
-        from .sparsepoly import poly_to_json
-
         return {
             "p": self.p,
             "n": self.n,
@@ -92,8 +98,6 @@ def matmul(A: CartierMatrix, B: CartierMatrix) -> CartierMatrix:
 
 
 def _level_solution(inst: KZInstance, t: int, l: int) -> PolyVector:
-    from .solutions import extract_solution
-
     return extract_solution(inst.level(t), None, l, t).vector
 
 

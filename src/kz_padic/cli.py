@@ -36,43 +36,6 @@ from .sparsepoly import ModulusContext, vector_from_json
 SCHEMA = "kz-padic/1"
 
 
-def load_config(path: str) -> dict:
-    """Parse simple key=value lines; '#' starts a comment."""
-    out = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for raw in fh:
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ValueError(f"bad config line: {raw.rstrip()}")
-            key, value = (part.strip() for part in line.split("=", 1))
-            out[key.replace("-", "_")] = value
-    return out
-
-
-def apply_config(args: argparse.Namespace) -> None:
-    """Fill unset options from the config file; explicit flags win."""
-    if not getattr(args, "config", None):
-        return
-    conf = load_config(args.config)
-    for key, value in conf.items():
-        if getattr(args, key, None) is None:
-            if value.lower() in ("true", "false"):
-                setattr(args, key, value.lower() == "true")
-            else:
-                try:
-                    setattr(args, key, int(value))
-                except ValueError:
-                    setattr(args, key, value)
-
-
-def _parse_mvec(text: str | None):
-    if text is None:
-        return None
-    return tuple(int(x) for x in text.split(","))
-
-
 def _require(args, *names) -> None:
     for name in names:
         if getattr(args, name) is None:
@@ -85,6 +48,13 @@ def _at_least(args, name: str, least: int) -> None:
         raise ValueError(f"--{name} {value} is below {least}")
 
 
+def _unused(args, names, why: str) -> None:
+    """An option the chosen mode ignores would read as if it had been applied."""
+    for name in names:
+        if getattr(args, name) is not None:
+            raise ValueError(f"--{name} {why}")
+
+
 def _instance(args) -> KZInstance:
     _require(args, "p", "s", "n", "l")
     return KZInstance(args.n, ModulusContext(args.p, args.s))
@@ -93,7 +63,7 @@ def _instance(args) -> KZInstance:
 def _extract(args):
     """The instance and the solution record named by --p --s --n --l [--r --mvec]."""
     inst = _instance(args)
-    record = extract_solution(inst, _parse_mvec(args.mvec), args.l, args.r)
+    record = extract_solution(inst, args.mvec and args.mvec.split(","), args.l, args.r)
     if record.vector.is_zero():         # it would pass every check vacuously
         raise ValueError(f"--l {args.l} gives the zero vector at level {record.r} "
                          f"(with the default exponents l runs over 1..{inst.g})")
@@ -108,7 +78,6 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(sp):
-        sp.add_argument("--config", help="key=value file supplying defaults")
         sp.add_argument("--out", help="artifact path (default: stdout)")
 
     sp = sub.add_parser("gen", help="generate a solution vector")
@@ -186,6 +155,8 @@ def _check_degree(vector, degree: int, path: str, params: dict) -> None:
 def cmd_verify(args):
     """Verify at the level r of the solution: an index l*p**r - 1 solves mod p**r."""
     if args.infile:
+        _unused(args, ("p", "s", "n", "l", "r", "mvec"),
+                "is not used with --in: the artifact carries its parameters")
         with open(args.infile, "r", encoding="utf-8") as fh:
             data = json.load(fh, parse_float=_reject_float)
         try:
@@ -215,6 +186,8 @@ def cmd_verify(args):
 
 def cmd_cartier(args):
     _require(args, "p", "n")
+    if not args.verify:
+        _unused(args, ("t",), "is used only with --verify")
     C = cartier_matrix(args.p, args.n)
     ok = C.degrees_ok()
     artifact = {"schema": SCHEMA, "kind": "cartier", "matrix": C.to_json(),
@@ -234,6 +207,10 @@ def cmd_cartier(args):
 
 
 def cmd_asympt(args):
+    if not args.series:
+        _unused(args, ("cutoff", "prec"), "is used only with --series")
+    _at_least(args, "cutoff", 0)
+    _at_least(args, "prec", 1)
     inst = _instance(args)
     pre = prefactor_truncated(inst, args.l)
     fact = factorization_report(inst, args.l)
@@ -260,6 +237,7 @@ def cmd_converge(args):
     _at_least(args, "smax", 1)
     _at_least(args, "samples", 1)
     if args.classic:
+        _unused(args, ("n", "l", "samples", "seed", "prec"), "is not used with --classic")
         p = args.p if args.p is not None else 5
         smax = args.smax if args.smax is not None else 3
         report = classic_partial_sums(p, range(1, smax + 1))
@@ -299,11 +277,6 @@ COMMANDS = {
 }
 
 
-def dispatch(args) -> tuple:
-    apply_config(args)
-    return COMMANDS[args.command](args)
-
-
 def emit(artifact: dict, out: str | None) -> None:
     text = json.dumps(artifact, sort_keys=True, indent=2) + "\n"
     if out:
@@ -317,7 +290,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        code, artifact = dispatch(args)
+        code, artifact = COMMANDS[args.command](args)
     except (ValueError, OSError) as exc:
         parser.exit(2, f"kz: error: {exc}\n")
     emit(artifact, args.out)

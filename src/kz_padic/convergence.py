@@ -49,7 +49,6 @@ from .asymptotic import (
 )
 from .kz import Check, KZInstance
 from .padic import (
-    DiscSpec,
     PAdic,
     PrecisionError,
     binom_half,
@@ -64,15 +63,12 @@ from .solutions import DeskEnvelopeError
 from .sparsepoly import ModulusContext
 
 
-def sample_disc(p: int, spec: DiscSpec, count: int, seed: int, N: int) -> list:
-    """Deterministic samples congruent to w(alpha) mod p**depth, uniform above."""
-    if spec.depth >= N:
-        raise PrecisionError("disc depth at or above working precision")
+def sample_disc(p: int, alpha: int, count: int, seed: int, N: int) -> list:
+    """Deterministic samples of the open disc |t - w(alpha)| < 1: alpha mod p, uniform above."""
+    if N < 2:
+        raise PrecisionError("working precision must exceed the disc depth 1")
     rng = random.Random(seed)
-    anchor = teichmuller(PAdic(p, N, spec.alpha)).residue % p ** spec.depth
-    step = p ** spec.depth
-    span = p ** (N - spec.depth)
-    return [PAdic(p, N, anchor + step * rng.randrange(span)) for _ in range(count)]
+    return [PAdic(p, N, alpha % p + p * rng.randrange(p ** (N - 1))) for _ in range(count)]
 
 
 # -- Teichmuller power-tower convergence -------------------------------------------
@@ -139,6 +135,8 @@ def check_bin_bound(p: int, l1: int, l2: int, a_max: int, s_values) -> Check:
             rows.append({"s": s, "a": a, "valuation": val, "bound": bound,
                          "active": bound > 0, "ok": ok})
             per_s_ok[s] = per_s_ok.get(s, True) and ok
+    if not rows:                        # with no row the check would pass vacuously
+        raise ValueError("no level s gives a row in the hypothesis range")
     smallest = next((s for s in sorted(per_s_ok) if per_s_ok[s]), None)
     return Check(passed=all(r["ok"] for r in rows), rows=rows, smallest_passing_s=smallest)
 
@@ -369,29 +367,33 @@ def least_precision(s_max: int) -> int:
     return s_max + 3
 
 
-def converge_T_n3(p: int, s_max: int, count: int, seed: int, N: int,
-                  beta: int = 1) -> Check:
-    """n = 3 protocol: truncations against the series, then with prefactors.
-
-    Samples put u_2 in the zero disc and u_1 in the disc of beta**2; the
-    polynomial side carries u_1**((p**s-3)/2) and the series side
-    w(beta) u_1**(-3/2) via a Hensel square root.  At n = 3 the sums carry
-    no u_1 and their u_2 is the x_2 of the zone sums.
-    """
+def _check_run(s_max: int, count: int, N: int) -> None:
+    """Refuse a run with no rows or no samples, which would pass vacuously."""
+    if s_max < 1 or count < 1:
+        raise ValueError(f"need s_max >= 1 and count >= 1, got {s_max} and {count}")
     if N < least_precision(s_max):
         raise PrecisionError(f"N={N} too small for s_max={s_max}")
+
+
+def converge_T_n3(p: int, s_max: int, count: int, seed: int, N: int) -> Check:
+    """n = 3 protocol: truncations against the series, then with prefactors.
+
+    Samples put u_2 in the zero disc and u_1 in the disc of 1; the
+    polynomial side carries u_1**((p**s-3)/2) and the series side
+    u_1**(-3/2) via the Hensel square root on the branch 1.  At n = 3 the
+    sums carry no u_1 and their u_2 is the x_2 of the zone sums.
+    """
+    _check_run(s_max, count, N)
     _check_desk(p, 3, 1, s_max, count, N)
     rows, constant_term_vals = [], {}
-    u2s = sample_disc(p, DiscSpec(0), count, seed, N)
-    alpha = (beta * beta) % p
-    u1s = sample_disc(p, DiscSpec(alpha), count, seed + 1, N)
-    omega_beta = teichmuller(PAdic(p, N, beta))
+    u2s = sample_disc(p, 0, count, seed, N)
+    u1s = sample_disc(p, 1, count, seed + 1, N)
 
     cutoff = max((p ** s_max - 1) // 2, N)  # discarded tail sits below precision
     points = [(u2,) for u2 in u2s]
     series_vals = _series_sums(3, 1, cutoff, points, p, N)
     const_series = series_constant_vector(p, 3, 1, N)
-    scales = [omega_beta * (u1 * hensel_sqrt(u1, beta)).inverse() for u1 in u1s]
+    scales = [(u1 * hensel_sqrt(u1, 1)).inverse() for u1 in u1s]
 
     for s in range(1, s_max + 1):
         inst = KZInstance(3, ModulusContext(p, s))
@@ -409,7 +411,7 @@ def converge_T_n3(p: int, s_max: int, count: int, seed: int, N: int,
         cdiff = [PAdic(p, N, c) - sc for c, sc in zip(cvec, const_series)]
         constant_term_vals[str(s)] = _vector_val(cdiff)  # str keys fix the artifact's order
 
-        # with prefactor: u1**((p**s - 3)/2) T vs w(beta) u1**(-3/2) T-series
+        # with prefactor: u1**((p**s - 3)/2) T vs u1**(-3/2) T-series
         rows.append(_phase_row(s, "with-prefactor", (
             [u1 ** (M - 1) * tv - rhs_scale * sv for tv, sv in zip(tvals, svals)]
             for u1, rhs_scale, tvals, svals in zip(u1s, scales, trunc_vals, series_vals)),
@@ -423,26 +425,24 @@ def converge_T_n3(p: int, s_max: int, count: int, seed: int, N: int,
 
 
 def converge_Q_general(p: int, n: int, l: int, s_max: int, count: int, seed: int,
-                       N: int, beta: int = 1) -> Check:
-    """x-coordinate protocol: x_1**M Q-truncation vs w(beta) x_1**(-1/2) Q-series.
+                       N: int) -> Check:
+    """x-coordinate protocol: x_1**M Q-truncation vs x_1**(-1/2) Q-series.
 
-    Samples put x_1 in the disc of beta**2 and x_2..x_{n-1} in the zero disc.
+    Samples put x_1 in the disc of 1, where the square root takes the
+    branch 1, and x_2..x_{n-1} in the zero disc.
     """
-    if N < least_precision(s_max):
-        raise PrecisionError(f"N={N} too small for s_max={s_max}")
+    _check_run(s_max, count, N)
     check_index(n, l)
     KZInstance(n, ModulusContext(p, 1))     # p and n are checked before any work
     _check_desk(p, n, l, s_max, count, N)
     rows = []
-    alpha = (beta * beta) % p
-    x1s = sample_disc(p, DiscSpec(alpha), count, seed, N)
-    rest = [sample_disc(p, DiscSpec(0), count, seed + 10 + i, N) for i in range(n - 2)]
+    x1s = sample_disc(p, 1, count, seed, N)
+    rest = [sample_disc(p, 0, count, seed + 10 + i, N) for i in range(n - 2)]
     points = [tuple(col[k] for col in rest) for k in range(count)]
-    omega_beta = teichmuller(PAdic(p, N, beta))
 
     cutoff = max((p ** s_max - 1) // 2, N)  # discarded tail sits below precision
     series_vals = _series_sums(n, l, cutoff, points, p, N)
-    scales = [omega_beta * hensel_sqrt(x1, beta).inverse() for x1 in x1s]
+    scales = [hensel_sqrt(x1, 1).inverse() for x1 in x1s]
 
     for s in range(1, s_max + 1):
         M = (p ** s - 1) // 2
@@ -532,4 +532,6 @@ def classic_partial_sums(p: int, s_values) -> Check:
                 refined = False
         rows.append({"s": s, "coefficientwise_equal": not mismatches,
                      "mismatches": mismatches, "refined_ok": refined})
+    if not rows:
+        raise ValueError("no levels s to compare")
     return Check(passed=all(r["coefficientwise_equal"] for r in rows), p=p, rows=rows)

@@ -11,7 +11,6 @@ valuation identities used by the solution-shift machinery.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 
@@ -150,18 +149,6 @@ class PAdic:
     @classmethod
     def from_json(cls, data: dict) -> "PAdic":
         return cls(int(data["p"]), int(data["N"]), int(data["residue"]))
-
-
-@dataclass(frozen=True)
-class DiscSpec:
-    """Residue disc around the Teichmuller lift of alpha.
-
-    Depth 1 is the open unit disc |t - w(alpha)| < 1; larger depths pin
-    more initial digits.
-    """
-
-    alpha: int
-    depth: int = 1
 
 
 def teichmuller(x: PAdic) -> PAdic:

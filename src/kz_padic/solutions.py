@@ -13,6 +13,7 @@ kept as an independent oracle for desk-scale cross-checks.
 from __future__ import annotations
 
 import math
+import random
 import warnings
 from dataclasses import dataclass
 
@@ -21,8 +22,10 @@ from .padic import binom_prime_power_valuation, int_valuation
 from .sparsepoly import (
     Polynomial,
     PolyVector,
+    bounded_compositions,
     product_power_slice,
     slice_size,
+    vector_to_json,
 )
 
 # Enumeration sizes beyond this are outside the intended desk scale.
@@ -62,13 +65,11 @@ def master_polynomial(inst: KZInstance, mvec=None) -> Polynomial:
     return _factor_product(xvars, inst.zvars, mvec)
 
 
-def master_component(inst: KZInstance, mvec, j: int, xvars=None) -> Polynomial:
-    """Full expansion of Phi/(x - z_j), 1-based j; the naive oracle path."""
+def master_component(inst: KZInstance, mvec, j: int) -> Polynomial:
+    """Full expansion of Phi/(x - z_j) over (x, z), 1-based j; the naive oracle path."""
     mvec = validate_mvec(inst, mvec)
-    if xvars is None:
-        xvars = ("x",) + inst.zvars
     caps = [m - (1 if k == j - 1 else 0) for k, m in enumerate(mvec)]
-    return _factor_product(xvars, inst.zvars, caps)
+    return _factor_product(("x",) + inst.zvars, inst.zvars, caps)
 
 
 def _factor_product(xvars, zvars, caps) -> Polynomial:
@@ -129,8 +130,6 @@ class SolutionRecord:
         return total.reduce_mod(self.p ** self.r).is_zero()
 
     def to_json(self) -> dict:
-        from .sparsepoly import vector_to_json
-
         return {
             "p": self.p,
             "s": self.s,
@@ -200,8 +199,6 @@ def coefficient_vector(inst: KZInstance, l: int, d) -> tuple:
 
 def solution_from_formula(inst: KZInstance, l: int) -> PolyVector:
     """Assemble the whole minimal-M solution from the closed formula."""
-    from .sparsepoly import bounded_compositions
-
     M = inst.ctx.half
     delta = solution_degree(inst, l)
     if slice_size((M,) * inst.n, inst.n * M - delta) > DESK_TUPLE_LIMIT:
@@ -471,8 +468,6 @@ def linear_independence_probe(inst: KZInstance, trials: int = 50, seed: int = 0)
     with a unit entry), which forces independence; seeded random nonzero
     coefficient tuples then confirm no combination vanishes mod p.
     """
-    import random as _random
-
     p = inst.ctx.p
     generators = [extract_solution(inst, None, l).vector for l in range(1, inst.g + 1)]
     leads = [leading_term_vector(inst, l) for l in range(1, inst.g + 1)]
@@ -488,7 +483,7 @@ def linear_independence_probe(inst: KZInstance, trials: int = 50, seed: int = 0)
             break
         pivots.add(nz[0])
 
-    rng = _random.Random(seed)
+    rng = random.Random(seed)
     zvars = inst.zvars
     failures = 0
     for _ in range(trials):

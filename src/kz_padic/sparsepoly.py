@@ -277,8 +277,8 @@ class Polynomial:
             result = result + term
         return result
 
-    def evaluate(self, values, modulus: int | None = None) -> int:
-        """Evaluate at an integer point (sequence ordered like ``vars``)."""
+    def evaluate(self, values, modulus: int) -> int:
+        """Evaluate mod ``modulus`` at an integer point (sequence ordered like ``vars``)."""
         if len(values) != len(self.vars):
             raise ValueError("point has wrong length")
         total = 0
@@ -286,9 +286,9 @@ class Polynomial:
             term = coeff
             for val, e in zip(values, mono):
                 if e:
-                    term *= pow(val, e, modulus) if modulus else val ** e
+                    term *= pow(val, e, modulus)
             total += term
-        return total % modulus if modulus else total
+        return total % modulus
 
     # -- formatting -----------------------------------------------------------
 
@@ -299,15 +299,13 @@ class Polynomial:
         return format_poly(self)
 
 
-def format_poly(poly: Polynomial, modulus: int | None = None, symmetric: bool = True) -> str:
-    """Human-readable rendering; with a modulus, small residues print signed."""
+def format_poly(poly: Polynomial) -> str:
+    """Human-readable rendering, the lex-largest monomial first."""
     if not poly.terms:
         return "0"
     pieces = []
     for mono in sorted(poly.terms, reverse=True):
         coeff = poly.terms[mono]
-        if modulus is not None and symmetric and coeff > (modulus - 1) // 2:
-            coeff -= modulus
         factors = [f"{v}^{e}" if e > 1 else v for v, e in zip(poly.vars, mono) if e]
         body = "*".join(factors)
         if not body:

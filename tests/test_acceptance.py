@@ -25,7 +25,6 @@ from kz_padic.convergence import (
     converge_T_n3,
     disjoint_domain_probe,
     sample_disc,
-    DiscSpec,
 )
 from kz_padic.kz import KZInstance, verify_solution
 from kz_padic.padic import (
@@ -301,7 +300,7 @@ def test_criterion_9_padic_kernel():
             y = hensel_sqrt(t, beta)
             if y * y != t or y.residue % p != beta:
                 ok = False
-    samples = sample_disc(5, DiscSpec(1), 50, 5, 12) + sample_disc(5, DiscSpec(0), 50, 6, 12)
+    samples = sample_disc(5, 1, 50, 5, 12) + sample_disc(5, 0, 50, 6, 12)
     assert len(samples) == 100
     for t in samples:
         for s in (1, 2, 3):

@@ -3,7 +3,7 @@ import time
 
 import pytest
 
-from kz_padic.cli import main
+from kz_padic.cli import build_parser, main
 
 
 def run(argv):
@@ -108,23 +108,6 @@ def test_converge_classic_reports_failure(tmp_path):
     assert data["rows"][0]["coefficientwise_equal"]
     assert not data["rows"][1]["coefficientwise_equal"]
     assert all(row["refined_ok"] for row in data["rows"])
-
-
-def test_config_file_defaults(tmp_path):
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text("p = 5\ns = 1\nn = 3\nl = 1  # exponent index\n")
-    out = tmp_path / "sol.json"
-    assert run(["gen", "--config", cfg, "--out", out]) == 0
-    data = json.loads(out.read_text())
-    assert (data["p"], data["s"], data["n"], data["l"]) == (5, 1, 3, 1)
-
-
-def test_flags_override_config(tmp_path):
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text("p=5\ns=1\nn=3\nl=1\n")
-    out = tmp_path / "sol.json"
-    assert run(["gen", "--config", cfg, "--p", 7, "--out", out]) == 0
-    assert json.loads(out.read_text())["p"] == 7
 
 
 def test_usage_error_exit_code():
@@ -374,11 +357,61 @@ def test_converge_short_precision_is_usage_error(n, l, capsys):
     (["converge", "--classic", "--p", 9], "p=9 is not an odd prime"),
     (["cartier", "--p", 5, "--n", 3, "--verify", "--t", 0], "--t 0 is below 2"),
     (["cartier", "--p", 5, "--n", 3, "--verify", "--t", 1], "--t 1 is below 2"),
+    (["asympt", "--p", 5, "--s", 1, "--n", 3, "--l", 1, "--series", "--cutoff", -3],
+     "--cutoff -3 is below 0"),
+    (["asympt", "--p", 5, "--s", 1, "--n", 3, "--l", 1, "--series", "--prec", 0],
+     "--prec 0 is below 1"),
+    (["cartier", "--p", 5, "--n", 3, "--t", 0], "--t is used only with --verify"),
+    (["converge", "--classic", "--n", 4], "--n is not used with --classic"),
+    (["converge", "--classic", "--l", 1], "--l is not used with --classic"),
+    (["converge", "--classic", "--samples", 7], "--samples is not used with --classic"),
+    (["converge", "--classic", "--seed", 0], "--seed is not used with --classic"),
+    (["converge", "--classic", "--prec", 8], "--prec is not used with --classic"),
+    (["asympt", "--p", 5, "--s", 1, "--n", 3, "--l", 1, "--cutoff", 0],
+     "--cutoff is used only with --series"),
+    (["asympt", "--p", 5, "--s", 1, "--n", 3, "--l", 1, "--prec", 0],
+     "--prec is used only with --series"),
 ], ids=["smax0-n3", "smax0-n5", "l2-n3", "samples0", "samples-negative", "classic-smax0",
-        "classic-p0", "classic-p9", "cartier-t0", "cartier-t1"])
+        "classic-p0", "classic-p9", "cartier-t0", "cartier-t1", "series-cutoff-negative",
+        "series-prec0", "cartier-t-without-verify", "classic-n", "classic-l",
+        "classic-samples", "classic-seed", "classic-prec", "asympt-cutoff-without-series",
+        "asympt-prec-without-series"])
 def test_out_of_range_option_is_usage_error(argv, message, capsys):
-    # each of these once ran vacuously or on a silent default instead
+    # each of these once ran vacuously, on a silent default, or ignoring the option
     with pytest.raises(SystemExit) as err:
         run(argv)
     assert err.value.code == 2
     assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("option,value", [
+    ("--p", 7), ("--s", 3), ("--n", 5), ("--l", 2), ("--r", 1), ("--mvec", "2,2,2"),
+])
+def test_parameters_beside_an_artifact_are_usage_error(option, value, tmp_path, capsys):
+    # the artifact carries its own parameters; a flag beside it was ignored
+    sol = tmp_path / "sol.json"
+    run(["gen", "--p", 5, "--s", 1, "--n", 3, "--l", 1, "--out", sol])
+    with pytest.raises(SystemExit) as err:
+        run(["verify", "--in", sol, option, value])
+    assert err.value.code == 2
+    assert f"{option} is not used with --in" in capsys.readouterr().err
+
+
+OPTION_SURFACE = {
+    "gen": ["--p", "--s", "--n", "--l", "--r", "--mvec", "--out"],
+    "verify": ["--in", "--p", "--s", "--n", "--l", "--r", "--mvec", "--out"],
+    "cartier": ["--p", "--n", "--t", "--verify", "--out"],
+    "asympt": ["--p", "--s", "--n", "--l", "--series", "--cutoff", "--prec", "--out"],
+    "converge": ["--classic", "--p", "--n", "--l", "--smax", "--samples", "--seed",
+                 "--prec", "--out"],
+}
+
+
+def test_option_surface_is_pinned():
+    # a new option is a new knob: it has to show up here, in review
+    (commands,) = [a for a in build_parser()._actions if a.choices]
+    surface = {name: [s for a in sub._actions for s in a.option_strings
+                      if s not in ("-h", "--help")]
+               for name, sub in commands.choices.items()}
+    assert surface == OPTION_SURFACE
+    assert sum(map(len, surface.values())) == 37

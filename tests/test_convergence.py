@@ -19,7 +19,6 @@ from kz_padic.asymptotic import (
 )
 from kz_padic.convergence import (
     DESK_MULADD_LIMIT,
-    DiscSpec,
     check_bin_bound,
     check_xps_convergence,
     classic_partial_sums,
@@ -145,18 +144,18 @@ def use_index_walk(monkeypatch):
 
 def zone_points(p, n, N, count, seed):
     """Points x_2..x_{n-1} of the zero disc, the converge samples' domain."""
-    cols = [sample_disc(p, DiscSpec(0), count, seed + i, N) for i in range(n - 2)]
+    cols = [sample_disc(p, 0, count, seed + i, N) for i in range(n - 2)]
     return [tuple(col[k] for col in cols) for k in range(count)]
 
 
 def test_sample_disc_determinism_and_membership():
-    a = sample_disc(5, DiscSpec(2), 10, 42, 8)
-    b = sample_disc(5, DiscSpec(2), 10, 42, 8)
+    a = sample_disc(5, 2, 10, 42, 8)
+    b = sample_disc(5, 2, 10, 42, 8)
     assert a == b
     assert all(t.residue % 5 == 2 for t in a)
-    zeros = sample_disc(5, DiscSpec(0), 10, 1, 8)
+    zeros = sample_disc(5, 0, 10, 1, 8)
     assert all(t.norm_exponent() >= 1 for t in zeros)
-    assert sample_disc(5, DiscSpec(2), 5, 0, 8) != sample_disc(5, DiscSpec(2), 5, 1, 8)
+    assert sample_disc(5, 2, 5, 0, 8) != sample_disc(5, 2, 5, 1, 8)
 
 
 def test_power_tower_exact_example():
@@ -164,7 +163,7 @@ def test_power_tower_exact_example():
 
 
 def test_power_tower_report():
-    samples = sample_disc(5, DiscSpec(2), 25, 3, 12)
+    samples = sample_disc(5, 2, 25, 3, 12)
     report = check_xps_convergence(5, 2, samples, 4, 12)
     assert report.passed
     # an exact Teichmuller point sits at the precision floor immediately
@@ -230,7 +229,7 @@ def test_series_tail_control():
         small = component_polynomials(limit_series(p, n, l, D, N), u_monomial)
         large = component_polynomials(limit_series(p, n, l, D + 1, N), u_monomial)
         samples = [
-            tuple(s[k] for s in (sample_disc(p, DiscSpec(0), 6, 20 + i, N)
+            tuple(s[k] for s in (sample_disc(p, 0, 6, 20 + i, N)
                                  for i in range(n - 1)))
             for k in range(6)
         ]
@@ -403,6 +402,29 @@ def test_converge_t_n3_small():
     full = [r for r in report.rows if r["phase"] == "with-prefactor"]
     assert [r["bound_val"] for r in plain] == [1, 2]
     assert [r["measured_val"] for r in full] == [1, 2]
+
+
+@pytest.mark.parametrize("run", [
+    lambda: converge_T_n3(5, 0, 4, 0, 5),
+    lambda: converge_T_n3(5, 2, 0, 0, 8),
+    lambda: converge_Q_general(5, 5, 1, 0, 4, 0, 5),
+    lambda: converge_Q_general(5, 5, 1, 2, 0, 0, 8),
+], ids=["T-smax0", "T-count0", "Q-smax0", "Q-count0"])
+def test_vacuous_converge_is_refused_before_sampling(run, monkeypatch):
+    # with no level or no sample the run had no rows and passed, or died in min()
+    def no_sampling(*args):
+        raise AssertionError("sampled a run with nothing to compare")
+
+    monkeypatch.setattr(convergence, "sample_disc", no_sampling)
+    with pytest.raises(ValueError, match="need s_max >= 1 and count >= 1"):
+        run()
+
+
+def test_checks_without_levels_are_refused():
+    with pytest.raises(ValueError, match="no level s gives a row"):
+        check_bin_bound(5, 0, 0, 1, [])
+    with pytest.raises(ValueError, match="no levels s to compare"):
+        classic_partial_sums(5, [])
 
 
 def test_converge_t_requires_precision():
