@@ -19,16 +19,17 @@ from dataclasses import dataclass
 from .kz import Check, KZInstance, failure_site
 from .padic import PAdic, binom_half_fraction, int_valuation
 from .sparsepoly import (
+    DESK_TUPLE_LIMIT,
+    DeskEnvelopeError,
     Polynomial,
     PolyVector,
     bounded_compositions,
+    product_power_gradient,
     product_power_slice,
     slice_size,
     u_variables,
 )
 from .solutions import (
-    DESK_TUPLE_LIMIT,
-    DeskEnvelopeError,
     extract_at_index,
     is_quasi_constant,
     minimal_mvec,
@@ -49,24 +50,17 @@ def check_index(n: int, l: int) -> None:
 def difference_form(inst: KZInstance, l: int) -> PolyVector:
     """The shifted solution as a polynomial vector in w_i = z_i - z_n.
 
-    Component j < n divides the shifted master polynomial by (v - w_j),
-    component n divides by v; extraction happens at v-index l p**s - 1.
+    At v-index k = l p**s - 1 of v**M prod_{i<n} (v - w_i)**M, component j < n
+    divides by (v - w_j): the gradient of the product's slice at k - M;
+    component n divides by v: the product's plain slice at k - M + 1.
     """
     check_index(inst.n, l)
     M = inst.ctx.half
     k = l * inst.ctx.modulus - 1
     wv = w_variables(inst.n)
-    entries = []
-    for j in range(1, inst.n + 1):
-        caps = [M] * (inst.n - 1)
-        vpow = M
-        if j < inst.n:
-            caps[j - 1] = M - 1
-        else:
-            vpow = M - 1
-        sl = product_power_slice(caps, k - vpow)
-        entries.append(Polynomial(wv, sl))
-    return PolyVector(entries)
+    caps = (M,) * (inst.n - 1)
+    last = Polynomial(wv, product_power_slice(caps, k - M + 1))
+    return PolyVector(product_power_gradient(caps, k - M, wv).entries + (last,))
 
 
 def shift_solution(inst: KZInstance, l: int) -> PolyVector:

@@ -59,8 +59,7 @@ from .padic import (
     legendre,
     teichmuller,
 )
-from .solutions import DeskEnvelopeError
-from .sparsepoly import ModulusContext
+from .sparsepoly import DeskEnvelopeError, ModulusContext
 
 
 def sample_disc(p: int, alpha: int, count: int, seed: int, N: int) -> list:
@@ -78,6 +77,8 @@ def check_xps_convergence(p: int, alpha: int, samples, s_max: int, N: int) -> Ch
     at s_max sits within p**-s_max of the Teichmuller limit."""
     if s_max + 1 >= N:
         raise PrecisionError("increase N to resolve the requested s_max")
+    if not samples:
+        raise ValueError("no samples: the check would pass vacuously")
     steps_ok = True
     limit_ok = True
     worst = N
@@ -467,6 +468,8 @@ def disjoint_domain_probe(p: int, count: int, seed: int) -> Check:
     disc; the second needs u_1 a unit with u_2 in the zero disc.  Jointly
     they would force val(u_3) = -2 val(u_2) <= -2 and val(u_3) >= 1 at once.
     """
+    if count < 1:
+        raise ValueError(f"need count >= 1, got {count}: the probe would pass vacuously")
     rng = random.Random(seed)
     squares = {a for a in range(1, p) if legendre(a, p) == 1}
 

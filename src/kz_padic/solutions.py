@@ -2,12 +2,13 @@
 
 The solutions are x-coefficients of the master polynomial
     Phi(x, z, M) = prod_i (x - z_i)**M_i,       M_i = -1/2 mod p**s:
-the vector of coefficients of x**(l p**s - 1) in (Phi/(x-z_1), ..., Phi/(x-z_n))
-solves the system mod p**s for l = 1..g.  Extraction never expands the full
-product: in prod (x-z_i)**E_i a z-monomial z**d occurs with the single
-x-exponent sum(E)-sum(d), so a fixed x-degree slice enumerates only the
-bounded compositions of the matching total.  The naive full expansion is
-kept as an independent oracle for desk-scale cross-checks.
+the vector I of x**k coefficients, k = l p**s - 1, of (Phi/(x-z_1), ..., Phi/(x-z_n))
+solves the system mod p**s for l = 1..g.  As dPhi/dz_j = -M_j Phi/(x - z_j), it is the
+gradient of one slice of Phi: -M_j I_j = d/dz_j [Phi]_{x**k} exactly over Z.  The slice
+never expands the full product: a z-monomial z**d occurs in Phi only with x-exponent
+sum(M)-sum(d), so only the bounded compositions of the matching total are enumerated,
+and a slice above DESK_TUPLE_LIMIT tuples is refused before that.  The naive full
+expansion is kept as an independent oracle for desk-scale cross-checks.
 """
 
 from __future__ import annotations
@@ -22,18 +23,10 @@ from .padic import binom_prime_power_valuation, int_valuation
 from .sparsepoly import (
     Polynomial,
     PolyVector,
-    bounded_compositions,
-    product_power_slice,
-    slice_size,
+    product_power_gradient,
+    slice_tuples,
     vector_to_json,
 )
-
-# Enumeration sizes beyond this are outside the intended desk scale.
-DESK_TUPLE_LIMIT = 2_000_000
-
-
-class DeskEnvelopeError(ValueError):
-    """Requested parameters exceed the supported enumeration budget."""
 
 
 class QuasiConstantError(ValueError):
@@ -81,24 +74,9 @@ def _factor_product(xvars, zvars, caps) -> Polynomial:
     return poly
 
 
-def _guarded_slice(caps, k: int) -> dict:
-    size = slice_size(caps, k)
-    if size > DESK_TUPLE_LIMIT:
-        raise DeskEnvelopeError(f"extraction would enumerate {size} tuples")
-    return product_power_slice(caps, k)
-
-
-def extract_component(inst: KZInstance, mvec, j: int, k: int) -> Polynomial:
-    """Coefficient of x**k in Phi/(x - z_j) via the single-degree fast path."""
-    mvec = validate_mvec(inst, mvec)
-    caps = [m - (1 if i == j - 1 else 0) for i, m in enumerate(mvec)]
-    return Polynomial(inst.zvars, _guarded_slice(caps, k))
-
-
 def extract_at_index(inst: KZInstance, mvec, k: int) -> PolyVector:
-    """The n-vector of x**k coefficients of (Phi/(x-z_1), ..., Phi/(x-z_n))."""
-    mvec = validate_mvec(inst, mvec)
-    return PolyVector([extract_component(inst, mvec, j, k) for j in range(1, inst.n + 1)])
+    """The x**k coefficients of (Phi/(x-z_1), ..., Phi/(x-z_n)), as -grad [Phi]_{x**k} / M."""
+    return product_power_gradient(validate_mvec(inst, mvec), k, inst.zvars)
 
 
 @dataclass
@@ -201,10 +179,8 @@ def solution_from_formula(inst: KZInstance, l: int) -> PolyVector:
     """Assemble the whole minimal-M solution from the closed formula."""
     M = inst.ctx.half
     delta = solution_degree(inst, l)
-    if slice_size((M,) * inst.n, inst.n * M - delta) > DESK_TUPLE_LIMIT:
-        raise DeskEnvelopeError("coefficient enumeration above desk budget")
     terms = [dict() for _ in range(inst.n)]
-    for d in bounded_compositions(delta, (M,) * inst.n):
+    for d in slice_tuples((M,) * inst.n, inst.n * M - delta):
         vec = coefficient_vector(inst, l, d)
         for i, c in enumerate(vec):
             if c:

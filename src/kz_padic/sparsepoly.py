@@ -15,6 +15,12 @@ from typing import Iterable, Iterator, Mapping
 
 Monomial = tuple  # exponent tuple, one entry per ambient variable
 
+DESK_TUPLE_LIMIT = 2_000_000  # slices with more tuples are outside the intended desk scale
+
+
+class DeskEnvelopeError(ValueError):
+    """Requested parameters exceed the supported enumeration budget."""
+
 
 class VariableMismatch(ValueError):
     """Raised when two polynomials with different variable lists are combined."""
@@ -424,21 +430,25 @@ def bounded_compositions(total: int, caps) -> Iterator[tuple]:
         yield from rec(0, total)
 
 
+def slice_tuples(exponents, k: int) -> Iterator[tuple]:
+    """The Y-exponent tuples of the slice at X**k of prod_i (X - Y_i)**E_i; every slice
+    the package enumerates comes from here, refused above DESK_TUPLE_LIMIT before the first."""
+    size = slice_size(exponents, k)
+    if size > DESK_TUPLE_LIMIT:
+        raise DeskEnvelopeError(f"slice would enumerate {size} tuples, above {DESK_TUPLE_LIMIT}")
+    return bounded_compositions(sum(exponents) - k, exponents)
+
+
 def product_power_slice(exponents, k: int) -> dict:
     """Coefficient of X**k in prod_i (X - Y_i)**E_i, as a map Y-exponent -> int.
 
-    In the product, a Y-monomial with exponents d occurs only with
-    X-exponent sum(E) - sum(d), so the slice at fixed k enumerates exactly
-    the tuples d with sum(d) == sum(E) - k.  The sign (-1)**sum(d) is
-    constant on the slice.
+    A Y-monomial Y**d occurs in the product only with X-exponent sum(E) - sum(d), so the
+    slice holds exactly the tuples d with sum(d) == sum(E) - k, each with sign (-1)**sum(d).
     """
     exponents = tuple(exponents)
-    total = sum(exponents) - k
-    if k < 0 or total < 0:
-        return {}
-    sign = -1 if total % 2 else 1
+    sign = -1 if (sum(exponents) - k) % 2 else 1
     out = {}
-    for d in bounded_compositions(total, exponents):
+    for d in slice_tuples(exponents, k):
         coeff = sign
         for cap, e in zip(exponents, d):
             coeff *= math.comb(cap, e)
@@ -446,8 +456,29 @@ def product_power_slice(exponents, k: int) -> dict:
     return out
 
 
+def product_power_gradient(exponents, k: int, variables) -> PolyVector:
+    """Entry i: -d/dY_i (S) / E_i for the one slice S at X**k of prod_j (X - Y_j)**E_j.
+
+    As d/dY_i prod_j (X - Y_j)**E_j = -E_i prod_j (X - Y_j)**E_j / (X - Y_i), that is the
+    X**k coefficient of the product over (X - Y_i), exactly over Z; an inexact division
+    raises AssertionError.  A derivative shifts monomials injectively: no terms merge.
+    """
+    sl = product_power_slice(exponents, k)
+    entries = []
+    for i, cap in enumerate(exponents):
+        terms = {}
+        for d, c in sl.items():
+            if d[i]:
+                q, rem = divmod(-d[i] * c, cap)
+                if rem:
+                    raise AssertionError(f"d/dY{i + 1} of the slice at {d} not divisible by {cap}")
+                terms[d[:i] + (d[i] - 1,) + d[i + 1:]] = q
+        entries.append(Polynomial(variables, terms))
+    return PolyVector(entries)
+
+
 def slice_size(exponents, k: int) -> int:
-    """Number of tuples enumerated by ``product_power_slice`` (cost estimate).
+    """Number of tuples in the slice ``slice_tuples`` enumerates (cost estimate).
 
     Inclusion-exclusion over the caps: with T = sum(E) - k and n factors,
         sum over S of (-1)**|S| * C(T - sum_{i in S}(E_i + 1) + n - 1, n - 1),

@@ -41,10 +41,12 @@ from kz_padic.solutions import (
     leading_term_vector,
     leading_vector_of,
     master_component,
+    minimal_mvec,
+    raised_mvec,
     solution_from_formula,
     verify_shift_relation,
 )
-from kz_padic.sparsepoly import ModulusContext
+from kz_padic.sparsepoly import ModulusContext, Polynomial, PolyVector, product_power_slice
 
 GRID = [(5, 1, 3), (5, 2, 3), (5, 3, 3), (7, 1, 3), (7, 2, 3),
         (5, 1, 5), (5, 2, 5), (7, 1, 5)]
@@ -308,4 +310,56 @@ def test_criterion_9_padic_kernel():
             if diff.norm_exponent() < s + 1:
                 ok = False
     _report("criterion-9 p-adic kernel unit checks", ok)
+    assert ok
+
+
+def _component_oracle(inst, mvec, k) -> PolyVector:
+    """x**k coefficients of Phi/(x - z_j), each from its own slice: slot j lowered by one."""
+    return PolyVector([
+        Polynomial(inst.zvars, product_power_slice(
+            [m - (i == j) for i, m in enumerate(mvec)], k))
+        for j in range(inst.n)])
+
+
+def _gradient_identity(vec, grad, divisors) -> bool:
+    """-M_j I_j == d/dz_j [Phi]_{x**k} for every j, exactly over Z."""
+    return all(entry.scale(-m) == g for entry, g, m in zip(vec, grad, divisors))
+
+
+def test_criterion_10_gradient_identity():
+    """The solution vector is the gradient of one slice of Phi: exactly over Z,
+    -M_j I_j = d/dz_j [Phi]_{x**k}, with I from the per-component slices; the
+    extraction reproduces I.  A coefficient raised by p**(s-1), two swapped
+    components and a divisor M_j + p**s each break the identity."""
+    cases = []
+    for p, s, n in GRID + [(7, 1, 7), (11, 1, 7)]:
+        inst = _instance(p, s, n)
+        cases += [(inst, minimal_mvec(inst), l * p ** s - 1) for l in range(1, inst.g + 1)]
+    inst = _instance(5, 2, 3)
+    rng = random.Random(2024)      # criterion 3's admissible vectors, in its order
+    raised = [tuple(inst.ctx.half + inst.ctx.modulus * rng.randrange(0, 3) for _ in range(3))
+              for _ in range(3)] + [raised_mvec(inst, None, j) for j in (1, 2, 3)]
+    cases += [(inst, mvec, 5 ** t - 1) for mvec in raised for t in (1, 2)]
+    ok = True
+    for inst, mvec, k in cases:
+        p, s = inst.ctx.p, inst.ctx.s
+        vec = _component_oracle(inst, mvec, k)
+        phi = Polynomial(inst.zvars, product_power_slice(mvec, k))
+        grad = [phi.diff_index(j) for j in range(inst.n)]
+        mono = min(vec[0].terms)
+        bumped = Polynomial(inst.zvars, {**vec[0].terms, mono: vec[0].terms[mono] + p ** (s - 1)})
+        broken = [(PolyVector((bumped,) + vec.entries[1:]), mvec),
+                  (vec, (mvec[0] + p ** s,) + mvec[1:])]
+        # component 1 swapped with the first component unequal to it, if any
+        # (at l = g and s = 1 all components can be the same constant)
+        other = next((j for j in range(1, inst.n) if vec[j] != vec[0]), None)
+        if other is not None:
+            swapped = list(vec)
+            swapped[0], swapped[other] = vec[other], vec[0]
+            broken.append((PolyVector(swapped), mvec))
+        if (not _gradient_identity(vec, grad, mvec) or extract_at_index(inst, mvec, k) != vec
+                or any(_gradient_identity(v, grad, d) for v, d in broken)):
+            ok = False
+    _report("criterion-10 solutions are the gradient of one slice of Phi", ok,
+            f"{len(cases)} (instance, exponent vector, index) cases")
     assert ok

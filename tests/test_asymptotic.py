@@ -32,8 +32,7 @@ from kz_padic.asymptotic import (
 )
 from kz_padic.kz import KZInstance, verify_solution
 from kz_padic.padic import PAdic
-from kz_padic.solutions import DeskEnvelopeError
-from kz_padic.sparsepoly import ModulusContext, Polynomial, u_variables
+from kz_padic.sparsepoly import DeskEnvelopeError, ModulusContext, Polynomial, u_variables
 
 
 def make(p, s, n):

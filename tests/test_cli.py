@@ -3,6 +3,7 @@ import time
 
 import pytest
 
+from kz_padic import sparsepoly
 from kz_padic.cli import build_parser, main
 
 
@@ -293,6 +294,20 @@ def test_desk_guard_refuses_before_enumerating():
     # the guard counts the tuples in closed form, so the refusal is immediate
     with pytest.raises(SystemExit) as err:
         run(["gen", "--p", 5, "--s", 9, "--n", 5, "--l", 1])
+    assert err.value.code == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["asympt", "--p", 5, "--s", 4, "--n", 5, "--l", 1],     # 5.2M-tuple zone slices
+    ["cartier", "--p", 97, "--n", 9],                       # a 2.5e11-tuple first entry
+])
+def test_every_slice_is_refused_before_enumerating(argv, monkeypatch):
+    def enumerate_nothing(*args):
+        raise AssertionError("enumerated past the desk guard")
+
+    monkeypatch.setattr(sparsepoly, "bounded_compositions", enumerate_nothing)
+    with pytest.raises(SystemExit) as err:
+        run(argv)
     assert err.value.code == 2
 
 

@@ -34,8 +34,7 @@ from kz_padic.convergence import (
 )
 from kz_padic.kz import KZInstance
 from kz_padic.padic import PAdic, PrecisionError, int_valuation
-from kz_padic.solutions import DeskEnvelopeError
-from kz_padic.sparsepoly import ModulusContext
+from kz_padic.sparsepoly import DeskEnvelopeError, ModulusContext
 
 GRID = [(5, 1, 3), (5, 2, 3), (5, 3, 3), (7, 1, 3), (7, 2, 3),
         (5, 1, 5), (5, 2, 5), (7, 1, 5)]
@@ -177,6 +176,11 @@ def test_power_tower_report():
 def test_power_tower_requires_precision():
     with pytest.raises(PrecisionError):
         check_xps_convergence(5, 2, [], 12, 12)
+
+
+def test_power_tower_refuses_no_samples():
+    with pytest.raises(ValueError, match="no samples"):
+        check_xps_convergence(5, 2, [], 4, 12)
 
 
 def test_nonresidue_has_no_limit():
@@ -468,6 +472,11 @@ def test_disjoint_domains():
     assert report.passed
     assert report.in_first > 0 and report.in_second > 0
     assert "val(u3)" in report.reason
+
+
+def test_disjoint_domains_refuses_no_points():
+    with pytest.raises(ValueError, match="need count >= 1"):
+        disjoint_domain_probe(5, 0, 1)
 
 
 def test_classic_partial_sums_reality():

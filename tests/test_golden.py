@@ -22,6 +22,9 @@ PINS = {
     "converge-n5": (0, "0a74e8a1c14b068d1c93635c1e8ceae03f9fa2ee306ef4f37935f4cc4f1819cd"),
     "classic": (1, "b785f77803892dea4d4d2f9da3f51c0a740bcc8e57abf59f2f39ce4c41e0aa56"),
     "converge-n3": (0, "b1555de21f1658724a1a816dd5cbea01f6a62dd2c0eff25f391875706e7747fc"),
+    "gen-raised": (0, "c6f33bbb098ba004b450906619f2b19c8c019464e7d04e75b8e19d4897ef9474"),
+    "gen-n7": (0, "0e7ebb76f43162b7ca27e2f984f4620908e4f264610fb36f658f49c899dfaa66"),
+    "cartier-n5": (0, "02a3ccec22e8ceb4e1e05e7bee1e8e3c4d74b8031011c7fc74f16ce8ff26bdc6"),
 }
 
 COMMANDS = {
@@ -31,6 +34,9 @@ COMMANDS = {
     "classic": ["converge", "--classic"],
     "converge-n3": ["converge", "--p", 5, "--n", 3, "--l", 1, "--smax", 10,
                     "--samples", 4, "--prec", 13],
+    "gen-raised": ["gen", "--p", 5, "--s", 1, "--n", 5, "--l", 2, "--mvec", "2,7,2,2,2"],
+    "gen-n7": ["gen", "--p", 7, "--s", 1, "--n", 7, "--l", 2],
+    "cartier-n5": ["cartier", "--p", 7, "--n", 5],
 }
 
 

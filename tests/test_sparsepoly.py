@@ -3,9 +3,9 @@ import random
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from kz_padic.kz import KZInstance
-from kz_padic.solutions import extract_component
+from kz_padic import sparsepoly
 from kz_padic.sparsepoly import (
+    DeskEnvelopeError,
     ModulusContext,
     Polynomial,
     PolyVector,
@@ -13,6 +13,7 @@ from kz_padic.sparsepoly import (
     bounded_compositions,
     poly_from_json,
     poly_to_json,
+    product_power_gradient,
     product_power_slice,
     slice_size,
     vector_from_json,
@@ -101,11 +102,12 @@ def test_mul_heavy_collisions():
 
 
 def test_mul_collisions_on_a_solution_component():
-    # component 1 of the (p, s, n, l) = (5, 2, 5, 1) solution, 13,195 terms
-    inst = KZInstance(5, ModulusContext(5, 2))
-    comp = extract_component(inst, None, 1, 24)
+    # component 1 of the (p, s, n, l) = (5, 2, 5, 1) solution, 13,195 terms:
+    # the x**24 coefficient of (x - z1)**11 (x - z2)**12 ... (x - z5)**12
+    zv = z_variables(5)
+    comp = Polynomial(zv, product_power_slice((11, 12, 12, 12, 12), 24))
     assert len(comp) == 13195
-    z1, z2 = gens(inst.zvars)[:2]
+    z1, z2 = gens(zv)[:2]
     assert_product(comp, z1 - z2)
     assert_product((z1 - z2) ** 3, comp)
 
@@ -273,6 +275,42 @@ def test_product_power_slice_matches_expansion():
             want = full.slice_power("X", k)
             assert Polynomial(("y1", "y2", "y3"), got) == want
             assert slice_size(caps, k) == len(got)
+
+
+def test_product_power_gradient_matches_expansion():
+    # entry i is the X**k coefficient of the product with exponent E_i lowered by one
+    rng = random.Random(11)
+    ys = ("y1", "y2", "y3")
+    X, *y = gens(("X",) + ys)
+    for _ in range(10):
+        caps = tuple(rng.randrange(1, 5) for _ in range(3))
+        lowered = [Polynomial.one(X.vars) for _ in caps]
+        for i in range(3):
+            for j, e in enumerate(caps):
+                lowered[i] = lowered[i] * (X - y[j]) ** (e - (i == j))
+        for k in range(-1, sum(caps) + 1):
+            want = [poly.slice_power("X", k) for poly in lowered]
+            assert list(product_power_gradient(caps, k, ys)) == want, (caps, k)
+
+
+def test_product_power_gradient_refuses_an_inexact_division(monkeypatch):
+    # -d/dy1 of 3*y1 is -3, which the exponent 2 does not divide
+    monkeypatch.setattr(sparsepoly, "product_power_slice", lambda exponents, k: {(1, 0): 3})
+    with pytest.raises(AssertionError, match="not divisible by 2"):
+        product_power_gradient((2, 1), 2, ("y1", "y2"))
+
+
+def test_slice_above_the_desk_limit_is_refused_before_enumerating(monkeypatch):
+    def enumerate_nothing(*args):
+        raise AssertionError("enumerated past the desk guard")
+
+    monkeypatch.setattr(sparsepoly, "bounded_compositions", enumerate_nothing)
+    caps = (24,) * 9
+    assert slice_size(caps, 100) > sparsepoly.DESK_TUPLE_LIMIT
+    with pytest.raises(DeskEnvelopeError, match="slice would enumerate"):
+        product_power_slice(caps, 100)
+    with pytest.raises(DeskEnvelopeError, match="slice would enumerate"):
+        product_power_gradient(caps, 100, z_variables(9))
 
 
 def test_bounded_compositions_counts():
