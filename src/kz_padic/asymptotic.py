@@ -30,9 +30,9 @@ from .sparsepoly import (
     u_variables,
 )
 from .solutions import (
-    extract_at_index,
     is_quasi_constant,
     minimal_mvec,
+    module_sum,
     solution_sign,
 )
 
@@ -534,32 +534,19 @@ def translation_membership(inst: KZInstance, l: int) -> Check:
     p, s = inst.ctx.p, inst.ctx.s
     mvec = minimal_mvec(inst)
     k = l * p ** s - 1
-    deg_bound = sum(mvec) - 1
-    zvars = inst.zvars
-    zn = Polynomial.variable(zvars[-1], zvars)
-
-    target = shift_solution(inst, l)
-    total = PolyVector.zero(inst.n, zvars)
-    rows = []
-    diagonal_unit = False
-    for i in range(k, deg_bound + 1):
-        c = math.comb(i, k)
-        e = i - k
-        piece = extract_at_index(inst, mvec, i)
-        total = total + piece.scale(zn ** e).scale(c)
+    zn = Polynomial.variable(inst.zvars[-1], inst.zvars)
+    summands, rows = [], []
+    for i in range(k, sum(mvec)):
         u = min(int_valuation(i + 1, p), s)
         v = (i + 1) // p ** u
-        val_ok = c % p ** (s - u) == 0
-        if val_ok:
-            dpoly = (zn ** e).scale(c // p ** (s - u))
-            qc_ok = is_quasi_constant(dpoly, p, u)
-        else:
-            qc_ok = False
-        if e == 0:
-            diagonal_unit = c == 1
-        rows.append({"index": i, "shift": e, "level": u, "generator": v,
-                     "valuation_ok": val_ok, "quasi_constant_ok": qc_ok})
-    exact = total == target
+        unit, rest = divmod(math.comb(i, k), p ** (s - u))
+        dpoly = (zn ** (i - k)).scale(unit)
+        summands.append((u, v, dpoly))
+        rows.append({"index": i, "shift": i - k, "level": u, "generator": v,
+                     "valuation_ok": rest == 0,
+                     "quasi_constant_ok": rest == 0 and is_quasi_constant(dpoly, p, u)})
+    exact = module_sum(inst, mvec, summands, s) == shift_solution(inst, l)
+    diagonal_unit = summands[0][2] == Polynomial.one(inst.zvars)
     return Check(passed=exact and diagonal_unit and all(
                      r["valuation_ok"] and r["quasi_constant_ok"] for r in rows),
                  rows=rows, exact_ok=exact, diagonal_unit=diagonal_unit)

@@ -14,11 +14,14 @@ from dataclasses import dataclass
 from .kz import Check, KZInstance, failure_site
 from .solutions import extract_solution
 from .sparsepoly import (
+    DESK_TUPLE_LIMIT,
+    DeskEnvelopeError,
     ModulusContext,
     Polynomial,
     PolyVector,
     poly_to_json,
     product_power_slice,
+    slice_size,
     z_variables,
 )
 
@@ -71,13 +74,12 @@ def cartier_matrix(p: int, n: int) -> CartierMatrix:
     g = (n - 1) // 2
     zvars = z_variables(n)
     caps = ((p - 1) // 2,) * n
-    entries = []
-    for i in range(1, g + 1):
-        row = []
-        for j in range(1, g + 1):
-            sl = product_power_slice(caps, j * p - 1 - (i - 1))
-            row.append(Polynomial(zvars, sl).reduce_mod(p))
-        entries.append(row)
+    index = [[j * p - i for j in range(1, g + 1)] for i in range(1, g + 1)]
+    size = sum(slice_size(caps, k) for row in index for k in row)
+    if size > DESK_TUPLE_LIMIT:
+        raise DeskEnvelopeError(f"matrix would enumerate {size} tuples, above {DESK_TUPLE_LIMIT}")
+    entries = [[Polynomial(zvars, product_power_slice(caps, k)).reduce_mod(p) for k in row]
+               for row in index]
     return CartierMatrix(p, n, entries)
 
 

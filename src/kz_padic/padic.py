@@ -1,10 +1,10 @@
 """Finite-precision p-adic integer arithmetic.
 
 A value is a residue modulo p**N for an explicitly chosen precision N.
-Norms of residues that vanish at the working precision are reported as
-intervals ("<= p^-N"), never as exact zero, so precision underflow cannot
-masquerade as convergence.  Includes Teichmuller representatives, Hensel
-square roots, half-integer binomial coefficients, and the binomial
+A residue that vanishes at the working precision has norm exponent N (the
+certified bound |x| <= p^-N), never an exact zero, so precision underflow
+cannot masquerade as convergence.  Includes Teichmuller representatives,
+Hensel square roots, half-integer binomial coefficients, and the binomial
 valuation identities used by the solution-shift machinery.
 """
 
@@ -134,21 +134,11 @@ class PAdic:
         v = self.valuation()
         return self.N if v is None else v
 
-    def norm_description(self) -> str:
-        v = self.valuation()
-        if v is None:
-            return f"<= {self.p}^-{self.N}"
-        return f"{self.p}^-{v}"
-
     def __repr__(self) -> str:
         return f"PAdic({self.residue} mod {self.p}^{self.N})"
 
     def to_json(self) -> dict:
         return {"p": self.p, "N": self.N, "residue": str(self.residue)}
-
-    @classmethod
-    def from_json(cls, data: dict) -> "PAdic":
-        return cls(int(data["p"]), int(data["N"]), int(data["residue"]))
 
 
 def teichmuller(x: PAdic) -> PAdic:

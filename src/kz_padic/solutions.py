@@ -269,6 +269,21 @@ class ModuleElement:
         return max(live) if live else 0
 
 
+def module_sum(inst: KZInstance, mvec, rows, top: int) -> PolyVector:
+    """sum p**(top-u) c I^{[v p**u - 1]} over the rows (u, v, c), exactly over Z.
+
+    The generators are the solutions of the exponent vector mvec; with mvec
+    None, those of the minimal exponent vector of each level u.
+    """
+    p = inst.ctx.p
+    total = PolyVector.zero(inst.n, inst.zvars)
+    for u, v, c in rows:
+        family = inst if mvec is not None else inst.level(u)
+        gen = extract_at_index(family, mvec, v * p ** u - 1)
+        total = total + gen.scale(c.scale(p ** (top - u)))
+    return total
+
+
 def module_element(inst: KZInstance, coeffs) -> ModuleElement:
     """Assemble a module element from quasi-constant coefficients.
 
@@ -286,10 +301,7 @@ def module_element(inst: KZInstance, coeffs) -> ModuleElement:
         if not is_quasi_constant(c, p, r):
             raise QuasiConstantError(f"coefficient at (r={r}, l={l}) is not quasi-constant mod {p}**{r}")
         norm[(r, l)] = c
-    total = PolyVector.zero(inst.n, zvars)
-    for (r, l), c in norm.items():
-        gen = extract_solution(inst.level(r), None, l, r).vector
-        total = total + gen.scale(c).scale(p ** (s - r))
+    total = module_sum(inst, None, [(r, l, c) for (r, l), c in norm.items()], s)
     return ModuleElement(inst, norm, total.reduce_mod(inst.ctx.modulus))
 
 
@@ -302,72 +314,58 @@ def raised_mvec(inst: KZInstance, mvec, j: int) -> tuple:
     return tuple(out)
 
 
+def _raising_summands(inst: KZInstance, j: int, top: int, r: int):
+    """Classify the summands of the raising identity at x-index top - 1, level r.
+
+    Raising slot j by p**s multiplies the master polynomial by (x - z_j)**(p**s), so
+        P^{top - 1}(z, mvec + p**s e_j)
+          = sum_{a=0}^{p**s} (-1)**(p**s - a) binom(p**s, a) z_j**(p**s-a) P^{top - a - 1}(z, mvec)
+    exactly over Z.  For each a this yields (a, carry, u, v, coefficient): a = b p**carry
+    (carry = s for a in {0, p**s}), u = min(r, carry), top - a = v p**u (v None when
+    the summand's index is negative) and the coefficient z_j**(p**s-a) unit, where the
+    signed binomial is p**(r-u) unit.  The summand is then p**(r-u) coefficient
+    I^{[v p**u - 1]}(mvec).
+    """
+    p, s = inst.ctx.p, inst.ctx.s
+    ps = p ** s
+    mono = [0] * inst.n
+    for a in range(ps + 1):
+        carry = s if a == 0 else int_valuation(a, p)
+        u = min(r, carry)
+        unit, rest = divmod((-1) ** (ps - a) * math.comb(ps, a), p ** (r - u))
+        if rest:
+            raise AssertionError(f"binom({ps}, {a}) is not divisible by {p}**{r - u}")
+        v = (top - a) // p ** u if top > a else None
+        mono[j - 1] = ps - a
+        yield a, carry, u, v, Polynomial(inst.zvars, {tuple(mono): unit})
+
+
 def verify_shift_relation(inst: KZInstance, mvec, j: int, l: int, r: int) -> Check:
     """Check the exact expansion of a solution after raising slot j by p**s.
 
-    With mvec' = mvec + p**s e_j the master polynomial gains the factor
-    (x - z_j)**(p**s), so
-        P^{l p**r - 1}(z, mvec')
-          = sum_{a=0}^{p**s} (-1)**(p**s - a) binom(p**s, a) z_j**(p**s-a)
-            P^{l p**r - a - 1}(z, mvec)
-    holds exactly over Z.  Each summand is classified as p**(r-u) times a
-    quasi-constant multiple of a level-u generator, u = min(r, v_p(a)).
-    A row per summand a gives its carry c (a = b p**c; c = s for a in
-    {0, p**s}), u, the index v with l p**r - a = v p**u (None when the
-    summand dies), the binomial's valuation and the coefficient polynomial.
+    The raised solution at index l p**r - 1 must equal the module sum of the
+    classified raising-identity summands exactly over Z, and each summand's
+    coefficient must be quasi-constant mod p**u; so the raised generator lies in
+    the base family's module.  A row per summand a gives its carry, level u,
+    index v (None when the summand dies), the binomial's valuation and the
+    coefficient polynomial.
     """
     mvec = validate_mvec(inst, mvec)
     p, s = inst.ctx.p, inst.ctx.s
     ps = p ** s
-    zvars = inst.zvars
-    zj = Polynomial.variable(f"z{j}", zvars)
-    mvec2 = raised_mvec(inst, mvec, j)
-
-    lhs = extract_at_index(inst, mvec2, l * p ** r - 1)
-    rhs = PolyVector.zero(inst.n, zvars)
+    lhs = extract_at_index(inst, raised_mvec(inst, mvec, j), l * p ** r - 1)
     rows = []
-    for a in range(ps + 1):
-        signed = (-1) ** (ps - a) * math.comb(ps, a)
-        idx = l * p ** r - 1 - a
-        term = extract_at_index(inst, mvec, idx) if idx >= 0 else PolyVector.zero(inst.n, zvars)
-        rhs = rhs + term.scale(zj ** (ps - a)).scale(signed)
-
-        carry = s if a in (0, ps) else int_valuation(a, p)
-        bval = 0 if a in (0, ps) else binom_prime_power_valuation(p, s, a)
-        u = min(r, carry)
-        if l * p ** r <= a:
-            rows.append({"a": a, "carry": carry, "level": u, "index": None,
-                         "binom_valuation": bval, "coefficient": None, "quasi_constant": True})
-            continue
-        v = (l * p ** r - a) // p ** u
-        unit = signed // p ** (r - u)
-        dpoly = (zj ** (ps - a)).scale(unit)
-        rows.append({"a": a, "carry": carry, "level": u, "index": v, "binom_valuation": bval,
-                     "coefficient": dpoly, "quasi_constant": is_quasi_constant(dpoly, p, u)})
-
-    classified = all(row["quasi_constant"] for row in rows if row["index"] is not None)
+    for a, carry, u, v, coeff in _raising_summands(inst, j, l * p ** r, r):
+        live = v is not None
+        rows.append({"a": a, "carry": carry, "level": u, "index": v,
+                     "binom_valuation": 0 if a in (0, ps) else binom_prime_power_valuation(p, s, a),
+                     "coefficient": coeff if live else None,
+                     "quasi_constant": not live or is_quasi_constant(coeff, p, u)})
+    rhs = module_sum(inst, mvec, [(row["level"], row["index"], row["coefficient"])
+                                  for row in rows if row["index"] is not None], r)
+    classified = all(row["quasi_constant"] for row in rows)
     return Check(passed=lhs == rhs and classified, exact=lhs == rhs,
                  all_classified=classified, rows=rows)
-
-
-def shift_membership(inst: KZInstance, mvec, j: int, l: int, r: int) -> Check:
-    """Membership of a raised-family generator in the base-family module.
-
-    Rows are (level u, index v, coefficient polynomial).
-    """
-    report = verify_shift_relation(inst, mvec, j, l, r)
-    p, s = inst.ctx.p, inst.ctx.s
-    rows = [(row["level"], row["index"], row["coefficient"])
-            for row in report.rows if row["index"] is not None]
-    total = PolyVector.zero(inst.n, inst.zvars)
-    for u, v, c in rows:
-        gen = extract_at_index(inst, mvec, v * p ** u - 1)
-        total = total + gen.scale(c).scale(p ** (s - u))
-    target = extract_at_index(inst, raised_mvec(inst, mvec, j), l * p ** r - 1)
-    target = target.scale(p ** (s - r))
-    assembled = (total - target).reduce_mod(inst.ctx.modulus).is_zero()
-    return Check(passed=assembled and report.all_classified, rows=rows,
-                 assembled_ok=assembled, coefficients_ok=report.all_classified)
 
 
 def express_in_shifted_family(inst: KZInstance, mvec, j: int, l: int, r: int) -> Check:
@@ -381,10 +379,7 @@ def express_in_shifted_family(inst: KZInstance, mvec, j: int, l: int, r: int) ->
     """
     mvec = validate_mvec(inst, mvec)
     p, s = inst.ctx.p, inst.ctx.s
-    ps = p ** s
     zvars = inst.zvars
-    zj = Polynomial.variable(f"z{j}", zvars)
-    mvec2 = raised_mvec(inst, mvec, j)
     deg_bound = sum(mvec) - 1
     memo: dict = {}
 
@@ -392,26 +387,15 @@ def express_in_shifted_family(inst: KZInstance, mvec, j: int, l: int, r: int) ->
         key = (r0, l0)
         if key in memo:
             return memo[key]
+        memo[key] = {}  # also the answer past the x-degree; the recursion never revisits key
         if l0 * p ** r0 - 1 > deg_bound:
-            memo[key] = {}
             return memo[key]
-        memo[key] = {}  # cycle guard; the recursion below never revisits key
         lam = l0 + p ** (s - r0)
         rows = {(r0, lam): Polynomial.one(zvars)}
-        for a in range(ps):
-            target = lam * p ** r0 - a
-            if target <= 0:
+        for a, _, u, v, dpoly in _raising_summands(inst, j, lam * p ** r0, r0):
+            if a == p ** s or v is None or u == 0:
+                # the wanted generator itself, a dead summand, or one carrying p**s
                 continue
-            carry = s if a == 0 else int_valuation(a, p)
-            u = min(r0, carry)
-            if u == 0:
-                # the binomial already carries p**s: the summand dies mod p**s
-                continue
-            v = target // p ** u
-            if v * p ** u != target:
-                raise AssertionError("classification must divide exactly")
-            unit = ((-1) ** (ps - a) * math.comb(ps, a)) // p ** (r0 - u)
-            dpoly = (zj ** (ps - a)).scale(unit)
             for (uu, vv), cpoly in solve(u, v).items():
                 acc = rows.get((uu, vv), Polynomial.zero(zvars)) - dpoly * cpoly
                 if acc:
@@ -421,12 +405,8 @@ def express_in_shifted_family(inst: KZInstance, mvec, j: int, l: int, r: int) ->
         memo[key] = rows
         return rows
 
-    rows = solve(r, l)
-    flat = [(u, v, c) for (u, v), c in sorted(rows.items())]
-    total = PolyVector.zero(inst.n, zvars)
-    for u, v, c in flat:
-        gen = extract_at_index(inst, mvec2, v * p ** u - 1)
-        total = total + gen.scale(c).scale(p ** (s - u))
+    flat = [(u, v, c) for (u, v), c in sorted(solve(r, l).items())]
+    total = module_sum(inst, raised_mvec(inst, mvec, j), flat, s)
     target = extract_at_index(inst, mvec, l * p ** r - 1).scale(p ** (s - r))
     assembled = (total - target).reduce_mod(inst.ctx.modulus).is_zero()
     coeffs_ok = all(is_quasi_constant(c, p, u) for u, v, c in flat)

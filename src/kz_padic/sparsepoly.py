@@ -100,15 +100,6 @@ class Polynomial:
     def items(self) -> Iterator[tuple[Monomial, int]]:
         return iter(self.terms.items())
 
-    def coefficient(self, mono: Monomial) -> int:
-        return self.terms.get(tuple(mono), 0)
-
-    def degree_in(self, name: str) -> int:
-        if not self.terms:
-            return -1
-        i = self.vars.index(name)
-        return max(m[i] for m in self.terms)
-
     def degrees_present(self) -> set:
         """Set of total degrees of the monomials present (homogeneity check)."""
         return {sum(m) for m in self.terms}
@@ -574,12 +565,6 @@ def poly_to_json(poly: Polynomial) -> dict:
             for mono in sorted(poly.terms)
         ],
     }
-
-
-def poly_from_json(data: dict) -> Polynomial:
-    variables = tuple(data["vars"])
-    terms = {tuple(t["e"]): int(t["c"]) for t in data["terms"]}
-    return Polynomial(variables, terms)
 
 
 def vector_to_json(vec: PolyVector) -> dict:

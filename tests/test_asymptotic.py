@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from kz_padic import asymptotic
+from kz_padic import asymptotic, solutions
 from kz_padic.asymptotic import (
     component_polynomials,
     components_of_class,
@@ -32,7 +32,13 @@ from kz_padic.asymptotic import (
 )
 from kz_padic.kz import KZInstance, verify_solution
 from kz_padic.padic import PAdic
-from kz_padic.sparsepoly import DeskEnvelopeError, ModulusContext, Polynomial, u_variables
+from kz_padic.sparsepoly import (
+    DeskEnvelopeError,
+    ModulusContext,
+    Polynomial,
+    PolyVector,
+    u_variables,
+)
 
 
 def make(p, s, n):
@@ -74,7 +80,7 @@ def test_difference_form_against_full_expansion():
     ]
     for got, full in zip(diff.entries, products):
         assert got == full.slice_power("v", k)
-        assert full.degree_in("v") == 3 * M - 1
+        assert max(m[0] for m in full.terms) == 3 * M - 1
 
 
 def test_shift_solution_satisfies_system():
@@ -336,6 +342,26 @@ def test_translation_membership(p, s):
     assert report.exact_ok
     assert report.diagonal_unit
     assert all(r["valuation_ok"] and r["quasi_constant_ok"] for r in report.rows)
+
+
+def test_translation_membership_fails_on_a_perturbed_generator(monkeypatch):
+    p, s = 5, 2
+    inst = make(p, s, 3)
+    k = p ** s - 1
+    original = solutions.extract_at_index
+
+    def perturbed(inst, mvec, index):
+        vec = original(inst, mvec, index)
+        if index != k:
+            return vec
+        head = vec[0]
+        bump = Polynomial(head.vars, {min(head.terms): p ** (s - 1)})
+        return PolyVector((head + bump,) + vec.entries[1:])
+
+    assert translation_membership(inst, 1).passed
+    monkeypatch.setattr(solutions, "extract_at_index", perturbed)
+    report = translation_membership(inst, 1)
+    assert not report.exact_ok and not report.passed
 
 
 def test_zone_functions_reject_out_of_range_index():

@@ -290,11 +290,22 @@ def test_untagged_solution_payload_verifies(tmp_path):
     assert run(["verify", "--in", sol]) == 0
 
 
-def test_desk_guard_refuses_before_enumerating():
-    # the guard counts the tuples in closed form, so the refusal is immediate
-    with pytest.raises(SystemExit) as err:
-        run(["gen", "--p", 5, "--s", 9, "--n", 5, "--l", 1])
-    assert err.value.code == 2
+def test_desk_guard_refuses_before_enumerating(monkeypatch):
+    # the guard counts the tuples in closed form, so the refusal is immediate;
+    # each cartier request sums its g**2 slices, none of them alone above the limit
+    def enumerate_nothing(*args):
+        raise AssertionError("enumerated past the desk guard")
+
+    monkeypatch.setattr(sparsepoly, "bounded_compositions", enumerate_nothing)
+    for argv in (["gen", "--p", 5, "--s", 9, "--n", 5, "--l", 1],
+                 ["cartier", "--p", 79, "--n", 5],
+                 ["cartier", "--p", 83, "--n", 5],
+                 ["cartier", "--p", 89, "--n", 5],
+                 ["cartier", "--p", 23, "--n", 7],
+                 ["cartier", "--p", 11, "--n", 9]):
+        with pytest.raises(SystemExit) as err:
+            run(argv)
+        assert err.value.code == 2, argv
 
 
 @pytest.mark.parametrize("argv", [

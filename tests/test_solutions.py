@@ -3,6 +3,7 @@ import warnings
 
 import pytest
 
+from kz_padic import solutions
 from kz_padic.kz import KZInstance, verify_solution
 from kz_padic.solutions import (
     QuasiConstantError,
@@ -19,7 +20,6 @@ from kz_padic.solutions import (
     minimal_mvec,
     module_element,
     raised_mvec,
-    shift_membership,
     solution_degree,
     solution_from_formula,
     solution_sign,
@@ -46,11 +46,11 @@ def test_minimal_mvec_and_validation():
 def test_master_polynomial_shape():
     inst = make(5, 1, 3)
     phi = master_polynomial(inst)
-    assert phi.degree_in("x") == 6
-    assert phi.coefficient((6, 0, 0, 0)) == 1
+    assert max(m[0] for m in phi.terms) == 6
+    assert phi.terms.get((6, 0, 0, 0), 0) == 1
     # total x-degree = sum of exponents for a general admissible vector
     phi2 = master_polynomial(inst, (2, 7, 2))
-    assert phi2.degree_in("x") == 11
+    assert max(m[0] for m in phi2.terms) == 11
 
 
 def test_extraction_against_full_expansion():
@@ -219,12 +219,69 @@ def test_shift_relation_higher_level():
 def test_shift_membership_and_back():
     inst = make(5, 2, 3)
     for j in (1, 2):
-        fwd = shift_membership(inst, None, j, 1, 2)
+        fwd = verify_shift_relation(inst, None, j, 1, 2)
         assert fwd.passed
     for r in (1, 2):
         for j in (1, 2):
             rev = express_in_shifted_family(inst, None, j, 1, r)
             assert rev.passed
+
+
+def _break_first_identity(monkeypatch, fault):
+    """Patch the summand classifier: in the first identity it classifies, the
+    a = 0 summand (level u = r, nonzero generator) gets its unit off by one or
+    is dropped."""
+    original = solutions._raising_summands
+    calls = []
+
+    def broken(inst, j, top, r):
+        first = not calls
+        calls.append(top)
+        for a, carry, u, v, coeff in original(inst, j, top, r):
+            if first and a == 0:
+                assert u == r
+                assert not extract_at_index(inst, None, v * inst.ctx.p ** u - 1).is_zero()
+                if fault == "dropped":
+                    continue
+                coeff = Polynomial(coeff.vars, {m: c + 1 for m, c in coeff.terms.items()})
+            yield a, carry, u, v, coeff
+
+    monkeypatch.setattr(solutions, "_raising_summands", broken)
+
+
+@pytest.mark.parametrize("fault", ["unit-off-by-one", "dropped"])
+@pytest.mark.parametrize("check,verdict", [(verify_shift_relation, "exact"),
+                                           (express_in_shifted_family, "assembled_ok")])
+def test_module_checks_fail_on_a_broken_classifier(check, verdict, fault, monkeypatch):
+    inst = make(5, 2, 3)
+    assert check(inst, None, 1, 1, 1).passed
+    _break_first_identity(monkeypatch, fault)
+    report = check(inst, None, 1, 1, 1)
+    assert not getattr(report, verdict) and not report.passed
+
+
+def test_inexact_unit_division_is_refused():
+    # at a level r above s the signed binomials no longer divide by p**(r - u)
+    inst = make(5, 1, 3)
+    with pytest.raises(AssertionError, match="not divisible"):
+        list(solutions._raising_summands(inst, 1, 25, 2))
+
+
+def test_shift_relation_extracts_each_generator_once(monkeypatch):
+    inst = make(5, 2, 3)
+    original = solutions.extract_at_index
+    calls = []
+
+    def counted(inst, mvec, k):
+        calls.append((tuple(mvec), k))
+        return original(inst, mvec, k)
+
+    monkeypatch.setattr(solutions, "extract_at_index", counted)
+    report = verify_shift_relation(inst, None, 1, 1, 2)
+    live = [row for row in report.rows if row["index"] is not None]
+    assert report.passed and len(live) == 25
+    # the raised side once, then one generator per live summand
+    assert len(calls) == 1 + len(live) == len(set(calls))
 
 
 def test_out_of_range_index_warns_and_zeroes():

@@ -11,7 +11,6 @@ from kz_padic.sparsepoly import (
     PolyVector,
     VariableMismatch,
     bounded_compositions,
-    poly_from_json,
     poly_to_json,
     product_power_gradient,
     product_power_slice,
@@ -144,10 +143,10 @@ def test_mul_exponents_past_a_byte_and_negative():
     z1, z2 = gens(zv)
     one = Polynomial.one(zv)
     big = assert_product(z1 ** 256 + z2 ** 3, z1 + one)
-    assert big.coefficient((257, 0)) == 1
+    assert big.terms.get((257, 0), 0) == 1
     laurent = Polynomial(zv, {(-2, 1): 3, (0, -1): -1, (1, 1): 2})
     assert_product(laurent, z1 - z2)
-    assert assert_product(laurent, laurent).coefficient((-4, 2)) == 9
+    assert assert_product(laurent, laurent).terms.get((-4, 2), 0) == 9
 
 
 def test_mul_of_zero_variable_constants():
@@ -189,7 +188,7 @@ def test_symmetric_function_coefficient():
 def test_pow_binomial_coefficient():
     x, z1, *_ = gens(XZ)
     f = (x - z1) ** 4
-    assert f.coefficient((2, 2, 0, 0)) == 6
+    assert f.terms.get((2, 2, 0, 0), 0) == 6
 
 
 def test_pow_zero_is_one():
@@ -333,7 +332,8 @@ def test_slice_size_counts_bounded_compositions():
 def test_json_roundtrip():
     rng = random.Random(8)
     f = random_poly(rng, XZ)
-    assert poly_from_json(poly_to_json(f)) == f
+    data = poly_to_json(f)
+    assert vector_from_json({"vars": data["vars"], "entries": [data["terms"]]}) == PolyVector([f])
     vec = PolyVector([random_poly(rng, XZ) for _ in range(3)])
     assert vector_from_json(vector_to_json(vec)) == vec
     with pytest.raises(ValueError):
@@ -345,7 +345,7 @@ def test_json_decimal_strings_survive_big_coefficients():
     f = Polynomial(("z1",), {(3,): big})
     data = poly_to_json(f)
     assert data["terms"][0]["c"] == str(big)
-    assert poly_from_json(data) == f
+    assert vector_from_json({"vars": data["vars"], "entries": [data["terms"]]}) == PolyVector([f])
 
 
 def test_modulus_context():
