@@ -10,7 +10,10 @@ carries the report), 2 a usage error.
 from __future__ import annotations
 
 import argparse
+import functools
+import itertools
 import json
+import operator
 import sys
 
 from .asymptotic import (
@@ -70,7 +73,9 @@ def _extract(args):
     return inst, record
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of the process, built on first use: parse_args leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="kz",
         description="Exact solutions of the reduced KZ system mod p**s and their p-adic limits.",
@@ -277,8 +282,88 @@ COMMANDS = {
 }
 
 
+_quote = json.encoder.encode_basestring_ascii
+
+
+def _records(items, inner: str) -> str | None:
+    """A list of same-shaped records as one % template, or None.
+
+    Same-shaped: dicts with the keys of the first, each value a str or a list
+    of plain ints of one fixed length per key (the term records of
+    ``vector_to_json``).
+    """
+    first = items[0]
+    if not first or set(map(type, items)) != {dict} or not all(
+            map(operator.eq, map(dict.keys, items), itertools.repeat(first.keys()))):
+        return None
+    field, deeper = inner + "  ", inner + "    "
+    keys = sorted(first)
+    slots, columns = [], []
+    for key in keys:
+        column = list(map(operator.itemgetter(key), items))
+        kinds = set(map(type, column))
+        if kinds == {str}:
+            slots.append("%s")
+            columns.append(zip(map(_quote, column)))
+        elif kinds == {list} and len(set(map(len, column))) == 1 \
+                and set(map(type, itertools.chain.from_iterable(column))) <= {int}:
+            width = len(column[0])
+            slots.append("[" + deeper + ("," + deeper).join(["%s"] * width) + field + "]"
+                         if width else "[]")
+            columns.append(column)
+        else:
+            return None
+    one = "{" + field + ("," + field).join(
+        _quote(key).replace("%", "%%") + ": " + slot for key, slot in zip(keys, slots)
+    ) + inner + "}"
+    flat = tuple(itertools.chain.from_iterable(map(itertools.chain, *columns)))
+    return ("," + inner).join([one] * len(items)) % flat
+
+
+def _write(value, indent: str, out: list) -> None:
+    """Append json.dumps(value, sort_keys=True, indent=2), nested at ``indent``, to out."""
+    inner = indent + "  "
+    if isinstance(value, (list, tuple)) and value:
+        if set(map(type, value)) == {int}:      # no bools: they would read as 1 and 0
+            body = ("," + inner).join(map(int.__repr__, value))
+        else:
+            body = _records(value, inner)
+        if body is not None:
+            out.append("[" + inner + body + indent + "]")
+            return
+        out.append("[")
+        for i, item in enumerate(value):
+            out.append("," + inner if i else inner)
+            _write(item, inner, out)
+        out.append(indent + "]")
+    elif isinstance(value, dict) and value:
+        out.append("{")
+        for i, (key, item) in enumerate(sorted(value.items())):
+            out.append(("," if i else "") + inner + _quote(key) + ": ")
+            _write(item, inner, out)
+        out.append(indent + "}")
+    else:                               # a leaf or an empty container: the C encoder
+        out.append(json.dumps(value))
+
+
+def _dumps(value) -> str:
+    """json.dumps(value, sort_keys=True, indent=2), from C-level pieces.
+
+    CPython's C encoder serves only ``indent=None``.  Here it encodes the
+    leaves, a run of ints is one join and a list of term records one %
+    template; only containers are walked in Python.  A key that is not a str
+    raises TypeError (from sorting or from ``encode_basestring_ascii``), as
+    does a value of any type outside dict, list, tuple, str, int, bool, None
+    and float.
+    """
+    out: list = []
+    _write(value, "\n", out)
+    return "".join(out)
+
+
 def emit(artifact: dict, out: str | None) -> None:
-    text = json.dumps(artifact, sort_keys=True, indent=2) + "\n"
+    """Write the bytes of json.dumps(artifact, sort_keys=True, indent=2) and a newline."""
+    text = _dumps(artifact) + "\n"
     if out:
         with open(out, "w", encoding="utf-8") as fh:
             fh.write(text)

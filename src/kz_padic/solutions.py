@@ -276,12 +276,9 @@ def module_sum(inst: KZInstance, mvec, rows, top: int) -> PolyVector:
     None, those of the minimal exponent vector of each level u.
     """
     p = inst.ctx.p
-    total = PolyVector.zero(inst.n, inst.zvars)
-    for u, v, c in rows:
-        family = inst if mvec is not None else inst.level(u)
-        gen = extract_at_index(family, mvec, v * p ** u - 1)
-        total = total + gen.scale(c.scale(p ** (top - u)))
-    return total
+    scaled = (extract_at_index(inst if mvec is not None else inst.level(u), mvec, v * p ** u - 1)
+              .scale(c.scale(p ** (top - u))) for u, v, c in rows)
+    return PolyVector.sum(scaled, inst.n, inst.zvars)
 
 
 def module_element(inst: KZInstance, coeffs) -> ModuleElement:

@@ -317,6 +317,13 @@ def format_poly(poly: Polynomial) -> str:
     return out
 
 
+def _add_into(total: dict, terms: Mapping) -> None:
+    """total += terms in place; zero sums stay until a Polynomial drops them."""
+    get = total.get
+    for mono, coeff in terms.items():
+        total[mono] = get(mono, 0) + coeff
+
+
 class PolyVector:
     """A fixed-length vector of polynomials over one shared variable list."""
 
@@ -336,6 +343,20 @@ class PolyVector:
     @classmethod
     def zero(cls, n: int, variables) -> "PolyVector":
         return cls([Polynomial.zero(variables) for _ in range(n)])
+
+    @classmethod
+    def sum(cls, vectors, n: int, variables) -> "PolyVector":
+        """The sum of the n-vectors, each component added into one dict."""
+        variables = tuple(variables)
+        totals = [{} for _ in range(n)]
+        for vec in vectors:
+            if len(vec) != n:
+                raise ValueError("vector length mismatch")
+            if vec.vars != variables:
+                raise VariableMismatch(f"variable lists differ: {vec.vars} vs {variables}")
+            for total, entry in zip(totals, vec.entries):
+                _add_into(total, entry.terms)
+        return cls([Polynomial(variables, total) for total in totals])
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -375,10 +396,10 @@ class PolyVector:
         return all(e.is_zero() for e in self.entries)
 
     def sum_entries(self) -> Polynomial:
-        total = Polynomial.zero(self.vars)
+        total = {}
         for e in self.entries:
-            total = total + e
-        return total
+            _add_into(total, e.terms)
+        return Polynomial(self.vars, total)
 
     def first_term(self):
         """(1-based component, least monomial, coefficient) of the first nonzero entry, or None."""

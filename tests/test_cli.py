@@ -1,9 +1,12 @@
 import json
 import time
+from decimal import Decimal
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from kz_padic import sparsepoly
+import test_golden
+from kz_padic import cli, sparsepoly
 from kz_padic.cli import build_parser, main
 
 
@@ -441,3 +444,77 @@ def test_option_surface_is_pinned():
                for name, sub in commands.choices.items()}
     assert surface == OPTION_SURFACE
     assert sum(map(len, surface.values())) == 37
+
+
+def test_shared_parser_parses_like_fresh_ones():
+    argvs = [["gen", "--p", "5", "--s", "2", "--n", "3", "--l", "1"],
+             ["converge", "--classic"],
+             ["gen", "--p", "7", "--s", "1", "--n", "5", "--l", "2", "--mvec", "1,2,3,4,5"]]
+    assert build_parser() is build_parser()
+    shared = [build_parser().parse_args(argv) for argv in argvs]
+    assert shared == [build_parser.__wrapped__().parse_args(argv) for argv in argvs]
+
+
+# -- the artifact writer against json.dumps(sort_keys=True, indent=2) -----------------
+
+def _oracle(value) -> str:
+    return json.dumps(value, sort_keys=True, indent=2)
+
+
+# every code point, lone surrogates and control characters included
+TEXT = st.text(st.characters(exclude_categories=()), max_size=8)
+INTS = st.integers() | st.integers(min_value=-2**200, max_value=2**200)
+LEAVES = (st.none() | st.booleans() | INTS | TEXT
+          | st.floats(allow_nan=True, allow_infinity=True))
+# same-shaped term records, as vector_to_json writes them, and near misses:
+# "c" not a str, "e" lengths that differ, bools among the exponents, other keys
+TERMS = st.integers(0, 4).flatmap(lambda width: st.lists(st.fixed_dictionaries(
+    {"c": TEXT, "e": st.lists(INTS, min_size=width, max_size=width)}), min_size=1, max_size=4))
+NEAR_TERMS = st.lists(st.dictionaries(
+    st.sampled_from(["c", "e", "%s", "é"]),
+    TEXT | INTS | st.lists(INTS | st.booleans(), max_size=3)
+    | st.lists(INTS, max_size=2).map(tuple), max_size=3),
+    min_size=1, max_size=4)
+JSON = st.recursive(
+    LEAVES | TERMS | NEAR_TERMS | st.lists(INTS | st.booleans()),
+    lambda children: (st.lists(children, max_size=4)
+                      | st.lists(children, max_size=4).map(tuple)
+                      | st.dictionaries(TEXT, children, max_size=4)),
+    max_leaves=12)
+
+
+@settings(max_examples=200, deadline=None)
+@given(JSON)
+@example([{"c": "1", "e": [0, 1]}, {"c": "-2", "e": [1, 0]}])
+@example([{"c": "1", "e": [0, True]}, {"c": "2", "e": [1, 0]}])
+@example([{"c": "1", "e": [0]}, {"c": "2", "e": [1, 0]}])
+@example([{"c": 1, "e": [0]}, {"c": "2", "e": [1]}])
+@example([{"c": "1", "e": [0]}, {"c": "2", "x": [1]}])
+@example([{"c": "1", "e": [0]}, {"c": "2", "e": [1], "x": "3"}])
+@example({"%s": [{"%s": "%", "%d": []}, {"%s": "%%", "%d": []}]})
+@example([[], {}, (), [[]], {"": {}}, [float("nan"), float("inf"), -float("inf"), -0.0]])
+def test_writer_matches_json_dumps(value):
+    assert cli._dumps(value) == _oracle(value)
+
+
+UNSUPPORTED = [set(), frozenset({1}), b"x", 1j, object(), Decimal("1.5"), range(2)]
+
+
+@settings(max_examples=50, deadline=None)
+@given(JSON, st.sampled_from([1, 2.5, None, True, ("t",)]), st.sampled_from(UNSUPPORTED))
+def test_writer_refuses_non_str_keys_and_unsupported_types(value, key, bad):
+    with pytest.raises(TypeError):
+        cli._dumps([value, {key: value}])
+    with pytest.raises(TypeError):
+        cli._dumps({"k": [value, bad]})
+    with pytest.raises(TypeError):
+        cli._dumps([{"c": "1", "e": [0]}, {"c": "2", "e": [1], key: "3"}])
+
+
+@pytest.mark.parametrize("name", sorted(test_golden.COMMANDS))
+def test_emit_writes_json_dumps_bytes(name, tmp_path):
+    argv = [str(a) for a in test_golden.COMMANDS[name]]
+    _, artifact = cli.COMMANDS[argv[0]](build_parser().parse_args(argv))
+    out = tmp_path / "artifact.json"
+    cli.emit(artifact, str(out))
+    assert out.read_bytes() == (_oracle(artifact) + "\n").encode()

@@ -19,6 +19,7 @@ from kz_padic.solutions import (
     master_polynomial,
     minimal_mvec,
     module_element,
+    module_sum,
     raised_mvec,
     solution_degree,
     solution_from_formula,
@@ -26,7 +27,13 @@ from kz_padic.solutions import (
     validate_mvec,
     verify_shift_relation,
 )
-from kz_padic.sparsepoly import DeskEnvelopeError, ModulusContext, Polynomial, z_variables
+from kz_padic.sparsepoly import (
+    DeskEnvelopeError,
+    ModulusContext,
+    Polynomial,
+    PolyVector,
+    z_variables,
+)
 
 
 def make(p, s, n):
@@ -191,6 +198,32 @@ def test_module_element_rejects_bad_coefficient():
     with pytest.raises(QuasiConstantError) as err:
         module_element(inst, {(2, 1): z1})
     assert "(r=2, l=1)" in str(err.value)
+
+
+GRID = [(5, 1, 3), (5, 2, 3), (5, 3, 3), (7, 1, 3), (7, 2, 3),
+        (5, 1, 5), (5, 2, 5), (7, 1, 5)]
+
+
+@pytest.mark.parametrize("p,s,n", GRID)
+def test_sums_in_place_equal_sums_added_one_at_a_time(p, s, n):
+    inst = make(p, s, n)
+    zvars = inst.zvars
+    z1, z2 = (Polynomial.variable(v, zvars) for v in zvars[:2])
+    rows = [(u, l, Polynomial.constant(u - 2 * l, zvars) + z1 ** p ** u - z2 ** p ** u)
+            for u in range(1, s + 1) for l in range(1, inst.g + 1)]
+    top = rows[-1]
+    rows += [(top[0], top[1], -top[2])]         # cancels one generator exactly
+    expected = PolyVector.zero(n, zvars)
+    for u, l, c in rows:
+        gen = extract_at_index(inst.level(u), None, l * p ** u - 1)
+        expected = expected + gen.scale(c.scale(p ** (s - u)))
+    total = module_sum(inst, None, rows, s)
+    assert total == expected
+    for vec in (total, extract_solution(inst, None, 1).vector):
+        added = Polynomial.zero(zvars)
+        for entry in vec:
+            added = added + entry
+        assert vec.sum_entries() == added
 
 
 def test_shift_relation_exact():
