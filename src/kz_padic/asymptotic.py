@@ -15,9 +15,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import accumulate
 
 from .kz import Check, KZInstance, failure_site
-from .padic import PAdic, binom_half_fraction, int_valuation
+from .padic import PAdic, binom_half, int_valuation
 from .sparsepoly import (
     DESK_TUPLE_LIMIT,
     DeskEnvelopeError,
@@ -81,23 +82,12 @@ def hat_solution(inst: KZInstance, l: int) -> PolyVector:
     """The shifted solution in the zone coordinates (w_i -> u_1...u_i).
 
     The substitution is a monomial map: the u_m exponent of a w-monomial is
-    the sum of the w-exponents with index >= m.
+    the sum of the w-exponents with index >= m.  The suffix sums determine
+    the w-exponents, so no two terms merge.
     """
-    diff = difference_form(inst, l)
     uv = u_variables(inst.n)
-    entries = []
-    for poly in diff.entries:
-        terms: dict = {}
-        for d, coeff in poly.terms.items():
-            suffix = 0
-            f = [0] * (inst.n - 1)
-            for m in range(inst.n - 2, -1, -1):
-                suffix += d[m]
-                f[m] = suffix
-            key = tuple(f)
-            terms[key] = terms.get(key, 0) + coeff
-        entries.append(Polynomial(uv, {k: c for k, c in terms.items() if c}))
-    return PolyVector(entries)
+    return difference_form(inst, l).map(lambda poly: Polynomial(uv, {
+        tuple(accumulate(d[::-1]))[::-1]: c for d, c in poly.terms.items()}))
 
 
 # -- prefactor and constant term -------------------------------------------------
@@ -108,9 +98,6 @@ class Prefactor:
 
     sign: int
     exponents: tuple  # over u_1..u_{n-1}
-
-    def monomial(self, variables) -> Polynomial:
-        return Polynomial(variables, {self.exponents: self.sign})
 
 
 def prefactor_truncated(inst: KZInstance, l: int) -> Prefactor:
@@ -152,24 +139,13 @@ def constant_vector(inst: KZInstance, l: int) -> tuple:
     """
     check_index(inst.n, l)
     M = inst.ctx.half
-    zeros = 2 * inst.g - 2 * l
-    out = [0] * inst.n
-    out[zeros] = math.comb(M - 1, l - 1)
-    for i in range(zeros + 1, inst.n):
-        out[i] = math.comb(M, l)
-    return tuple(out)
+    return (0,) * (2 * inst.g - 2 * l) + (math.comb(M - 1, l - 1),) + (math.comb(M, l),) * (2 * l)
 
 
 def series_constant_vector(p: int, n: int, l: int, N: int) -> tuple:
     """Constant term of the limiting series: (0,..,0, binom(-3/2,l-1), binom(-1/2,l),..)."""
-    g = (n - 1) // 2
-    zeros = 2 * g - 2 * l
-    out = [PAdic(p, N, 0)] * n
-    out[zeros] = PAdic.from_fraction(binom_half_fraction(1, l - 1), p, N)
-    tail = PAdic.from_fraction(binom_half_fraction(0, l), p, N)
-    for i in range(zeros + 1, n):
-        out[i] = tail
-    return tuple(out)
+    return ((PAdic(p, N, 0),) * (n - 1 - 2 * l) + (binom_half(1, l - 1, p, N),)
+            + (binom_half(0, l, p, N),) * (2 * l))
 
 
 # -- truncations and series as indexed coefficient families ----------------------
@@ -209,12 +185,6 @@ class SeriesTruncation:
     cutoff: int | None      # total-degree bound for series enumeration
     coeffs: dict            # a-tuple -> tuple (ints or PAdic)
 
-    def indices(self):
-        return self.coeffs.keys()
-
-    def constraints_ok(self) -> bool:
-        return all(index_class(self.n, self.l, a) is not None for a in self.coeffs)
-
     def to_json(self) -> dict:
         def render(c):
             return c.to_json() if isinstance(c, PAdic) else str(c)
@@ -233,42 +203,78 @@ class SeriesTruncation:
         }
 
 
-def _block_caps(n: int, l: int, M: int) -> tuple:
-    """Caps of the left block a_1..a_{n-2l} and of the right block after it."""
-    block = n - 2 * l
-    return (M,) * block, (M,) * (n - 1 - block)
-
-
 def truncation_index_count(n: int, l: int, M: int) -> int:
     """Number of indices ``truncated_expansion`` enumerates, in closed form.
 
     With left and right block sums L and R, an index lies on hyperplane A
-    when L = R + l - 1 and on B when L = R + l, so the count is
-        sum_R C_right(R) * (C_left(R + l - 1) + C_left(R + l)),
-    where C_caps(t) counts the tuples under the caps with sum t.
+    when L = R + l - 1 and on B when L = R + l.  Replacing each left slot a_i
+    by M - a_i maps A onto the (n-1)-tuples under the caps M with sum
+    (n-2l)M - l + 1 and B onto those with sum (n-2l)M - l: the tuples of the
+    two slices of ``difference_form``, which the factorization pairs with
+    the truncation's indices.
     """
-    left, right = _block_caps(n, l, M)
+    caps = (M,) * (n - 1)
+    top = (2 * l - 1) * M + l           # sum(caps) minus the sum (n-2l)M - l on B
+    return slice_size(caps, top - 1) + slice_size(caps, top)
 
-    def count(caps, total):
-        return slice_size(caps, sum(caps) - total)
 
-    return sum(count(right, r) * (count(left, r + l - 1) + count(left, r + l))
-               for r in range(sum(right) + 1))
+def zone_request_size(inst: KZInstance, l: int, cutoff: int | None = None) -> int:
+    """Tuples and indices a zone request enumerates, in closed form.
+
+    The two slices of ``difference_form`` hold as many tuples as the
+    truncation has indices; with a cutoff, the limit series' indices add.
+    """
+    check_index(inst.n, l)
+    size = 2 * truncation_index_count(inst.n, l, inst.ctx.half)
+    return size + (_series_size(inst.n, l, cutoff) if cutoff is not None else 0)
 
 
 def _truncated_index_iter(n: int, l: int, M: int):
-    """Indices on the two hyperplanes ``index_class`` accepts, with their tag.
+    """Indices on the two hyperplanes ``index_class`` accepts.
 
     Each right block is paired with the left blocks whose sum puts the
     index on A or on B; tuples off both hyperplanes are never formed.
     """
-    left_caps, right_caps = _block_caps(n, l, M)
+    block = n - 2 * l
+    left_caps, right_caps = (M,) * block, (M,) * (n - 1 - block)
     for r in range(sum(right_caps) + 1):
         rights = list(bounded_compositions(r, right_caps))
-        for tag, offset in (("A", l - 1), ("B", l)):
+        for offset in (l - 1, l):
             for left in bounded_compositions(r + offset, left_caps):
                 for right in rights:
-                    yield left + right, tag
+                    yield left + right
+
+
+def series_index_count(n: int, l: int, cutoff: int) -> int:
+    """Number of indices ``series_indices`` yields, in O(cutoff) closed-form terms.
+
+    With F and S the sums of the a = n-2l-1 visible slots before the balance
+    slot and of the b = 2l-1 after it, offset o in {l-1, l} gives an index
+    when F + S <= cutoff and S >= F - o.  As W_k(t) = C(t+k-1, k-1) counts
+    k-tuples of sum t and sum_{S <= X} W_b(S) = C(X+b, b), the count is
+        sum_o sum_{F <= (cutoff+o)/2} W_a(F) (C(cutoff-F+b, b) - C(F-o-1+b, b)),
+    the second binomial read as 0 for F <= o.
+    """
+    a, b = n - 2 * l - 1, 2 * l - 1
+    total = 0
+    for o in (l - 1, l):
+        for f in range((cutoff + o) // 2 + 1 if a else 1):
+            weight = math.comb(f + a - 1, a - 1) if a else 1
+            total += weight * (math.comb(cutoff - f + b, b)
+                               - (math.comb(f - o - 1 + b, b) if f > o else 0))
+    return total
+
+
+def _series_size(n: int, l: int, cutoff: int) -> int:
+    """``series_index_count`` for the desk guard, in at most a few thousand terms.
+
+    With a visible slot before the balance slot, the indices with o = l-1 and
+    F <= cutoff/2 number at least (h+1)**2 at cutoff 2h, above DESK_TUPLE_LIMIT
+    from h = isqrt(DESK_TUPLE_LIMIT) + 1 on, so a larger cutoff is counted there.
+    """
+    if n - 2 * l > 1:
+        cutoff = min(cutoff, 2 * math.isqrt(DESK_TUPLE_LIMIT) + 2)
+    return series_index_count(n, l, cutoff)
 
 
 def series_indices(n: int, l: int, cutoff: int):
@@ -292,6 +298,35 @@ def series_indices(n: int, l: int, cutoff: int):
                 yield first + (balance,) + second
 
 
+def _zone_vectors(n: int, l: int, indices, plain, special):
+    """Yield (a, vector) per index: the one coefficient rule of the zone families.
+
+    Component j < n of a's class multiplies special[a_j] with plain[a_i] for
+    i != j; component n takes the plain product; the other components are 0.
+    The rows are indexed by exponent.  A row entry may be 0 or a non-unit, so
+    each product is a prefix times a suffix of the plain factors, never a
+    quotient.  An index off both hyperplanes raises AssertionError.
+    """
+    for a in indices:
+        tag = index_class(n, l, a)
+        if tag is None:
+            raise AssertionError(f"enumerated index {a} violates its constraint")
+        comps = components_of_class(n, l, tag)
+        vec = [0] * n
+        prefix = 1                      # forward: the plain factors before slot i
+        for i, e in enumerate(a):
+            if i + 1 in comps:
+                vec[i] = prefix * special[e]
+            prefix *= plain[e]
+        if n in comps:
+            vec[n - 1] = prefix
+        suffix = 1                      # backward: the plain factors after slot i
+        for i in range(n - 2, comps.start - 2, -1):
+            vec[i] *= suffix
+            suffix *= plain[a[i]]
+        yield a, vec
+
+
 def truncated_expansion(inst: KZInstance, l: int) -> SeriesTruncation:
     """Exact integer coefficients of the level-s truncation.
 
@@ -302,53 +337,27 @@ def truncated_expansion(inst: KZInstance, l: int) -> SeriesTruncation:
     check_index(n, l)
     if truncation_index_count(n, l, M) > DESK_TUPLE_LIMIT:
         raise DeskEnvelopeError("truncation index range above desk budget")
-    base = [math.comb(M, e) for e in range(M + 1)]
+    plain = [math.comb(M, e) for e in range(M + 1)]
     special = [math.comb(M - 1, e) for e in range(M + 1)]
-    coeffs: dict = {}
-    for a, tag in _truncated_index_iter(n, l, M):
-        prod_all = 1
-        for e in a:
-            prod_all *= base[e]
-        vec = [0] * n
-        for j in components_of_class(n, l, tag):
-            if j == n:
-                vec[n - 1] = prod_all
-            else:
-                # binom(M, a_j) > 0 throughout the index range, so the swap
-                # of the distinguished factor is an exact division
-                e = a[j - 1]
-                vec[j - 1] = prod_all // base[e] * special[e]
-        if any(vec):
-            coeffs[a] = tuple(vec)
+    coeffs = {a: tuple(vec) for a, vec in
+              _zone_vectors(n, l, _truncated_index_iter(n, l, M), plain, special) if any(vec)}
     return SeriesTruncation(n, l, "truncated", inst.ctx.p, None, None, coeffs)
 
 
 def limit_series(p: int, n: int, l: int, cutoff: int, N: int) -> SeriesTruncation:
-    """p-adic coefficients of the limiting series up to monomial degree cutoff."""
+    """p-adic coefficients of the limiting series up to monomial degree cutoff.
+
+    The truncation's rule at M = -1/2: binom(-1/2, .) and binom(-3/2, .) as
+    residues mod p**N.  Vectors that vanish mod p**N are kept.
+    """
     check_index(n, l)
+    if _series_size(n, l, cutoff) > DESK_TUPLE_LIMIT:
+        raise DeskEnvelopeError("series index range above desk budget")
     top = cutoff + l + 1  # the balance slot can exceed the visible degrees by l
-    b0 = [PAdic.from_fraction(binom_half_fraction(0, a), p, N) for a in range(top + 1)]
-    b1 = [PAdic.from_fraction(binom_half_fraction(1, a), p, N) for a in range(top + 1)]
-    zero = PAdic(p, N, 0)
-    coeffs: dict = {}
-    for a in series_indices(n, l, cutoff):
-        tag = index_class(n, l, a)
-        if tag is None:
-            raise AssertionError("enumerated index violates its constraint")
-        prod_all = PAdic(p, N, 1)
-        for e in a:
-            prod_all = prod_all * b0[e]
-        vec = [zero] * n
-        for j in components_of_class(n, l, tag):
-            if j == n:
-                vec[n - 1] = prod_all
-            else:
-                val = b1[a[j - 1]]
-                for i, e in enumerate(a):
-                    if i != j - 1:
-                        val = val * b0[e]
-                vec[j - 1] = val
-        coeffs[a] = tuple(vec)
+    plain = [binom_half(0, e, p, N).residue for e in range(top + 1)]
+    special = [binom_half(1, e, p, N).residue for e in range(top + 1)]
+    coeffs = {a: tuple(PAdic(p, N, c) for c in vec) for a, vec in
+              _zone_vectors(n, l, series_indices(n, l, cutoff), plain, special)}
     return SeriesTruncation(n, l, "series", p, N, cutoff, coeffs)
 
 
@@ -386,22 +395,13 @@ def x_monomial(n: int, l: int, j: int, a) -> tuple:
 def x_dictionary(n: int, l: int) -> list:
     """u-exponent tuples of x_1..x_{n-1} (x_{block+k} = u_{block+1}..u_{block+k})."""
     block = n - 2 * l
-    out = []
-    x1 = [0] * (n - 1)
-    for m in range(1, block + 1):
-        x1[m - 1] = block - m + 1
-    out.append(tuple(x1))
-    for i in range(2, block + 1):
-        e = [0] * (n - 1)
-        for m in range(i, block + 1):
-            e[m - 1] = 1
-        out.append(tuple(e))
-    for k in range(1, 2 * l):
-        e = [0] * (n - 1)
-        for m in range(block + 1, block + k + 1):
-            e[m - 1] = 1
-        out.append(tuple(e))
-    return out
+
+    def ones(lo, hi):                   # u_lo ... u_hi
+        return tuple(int(lo <= m <= hi) for m in range(1, n))
+
+    return ([tuple(max(block - m + 1, 0) for m in range(1, n))]
+            + [ones(i, block) for i in range(2, block + 1)]
+            + [ones(block + 1, block + k) for k in range(1, 2 * l)])
 
 
 def component_polynomials(st: SeriesTruncation, monomial) -> list:
@@ -412,20 +412,18 @@ def component_polynomials(st: SeriesTruncation, monomial) -> list:
     """
     out = [dict() for _ in range(st.n)]
     for a, vec in st.coeffs.items():
-        for j in range(1, st.n + 1):
-            c = vec[j - 1]
-            if (isinstance(c, int) and c == 0) or (isinstance(c, PAdic) and c.residue == 0):
-                continue
-            key = monomial(st.n, st.l, j, a)
-            if key in out[j - 1]:
-                out[j - 1][key] = out[j - 1][key] + c
-            else:
-                out[j - 1][key] = c
+        for j, (row, c) in enumerate(zip(out, vec), 1):
+            if c.residue if isinstance(c, PAdic) else c:
+                key = monomial(st.n, st.l, j, a)
+                row[key] = row[key] + c if key in row else c
     return out
 
 
 def factorization_report(inst: KZInstance, l: int) -> Check:
-    """Assert hat solution == prefactor * truncation, coefficient by coefficient."""
+    """Assert hat solution == prefactor * truncation, coefficient by coefficient.
+
+    The verdict carries the truncation it factored as ``truncation``.
+    """
     hat = hat_solution(inst, l)
     st = truncated_expansion(inst, l)
     pre = prefactor_truncated(inst, l)
@@ -436,15 +434,10 @@ def factorization_report(inst: KZInstance, l: int) -> Check:
         for exp, c in upoly.items()
     }) for upoly in upolys])
     first = failure_site(rebuilt - hat)
-    cvec = constant_vector(inst, l)
-    const_ok = True
-    for j in range(inst.n):
-        zero_key = (0,) * (inst.n - 1)
-        got = upolys[j].get(zero_key, 0)
-        if got != cvec[j]:
-            const_ok = False
+    zero_key = (0,) * (inst.n - 1)
+    const_ok = tuple(upoly.get(zero_key, 0) for upoly in upolys) == constant_vector(inst, l)
     return Check(passed=first is None and const_ok, factorization_ok=first is None,
-                 constant_term_ok=const_ok, first_mismatch=first)
+                 constant_term_ok=const_ok, first_mismatch=first, truncation=st)
 
 
 # -- truncation vs series, index by index ----------------------------------------
@@ -498,18 +491,17 @@ def truncation_correspondence(inst: KZInstance, l: int, D: int) -> Check:
 
 # -- x-coordinate forms ------------------------------------------------------------
 
-def q_consistency_report(inst: KZInstance, l: int) -> bool:
-    """The Q monomials must reproduce the u-form under the x(u) dictionary."""
-    st = truncated_expansion(inst, l)
+def q_consistency_report(st: SeriesTruncation) -> bool:
+    """The Q monomials of a truncation must reproduce its u-form under the x(u) dictionary."""
     upolys = component_polynomials(st, u_monomial)
     xpolys = component_polynomials(st, x_monomial)
-    dictionary = x_dictionary(inst.n, l)     # x_1..x_{n-1} as u-exponents
-    for j in range(inst.n):
+    dictionary = x_dictionary(st.n, st.l)    # x_1..x_{n-1} as u-exponents
+    for j in range(st.n):
         rebuilt: dict = {}
         for xexp, coeff in xpolys[j].items():
-            uexp = [0] * (inst.n - 1)
+            uexp = [0] * (st.n - 1)
             for i, e in enumerate(xexp):     # xexp covers x_2..x_{n-1}
-                for m in range(inst.n - 1):
+                for m in range(st.n - 1):
                     uexp[m] += e * dictionary[i + 1][m]
             key = tuple(uexp)
             rebuilt[key] = rebuilt.get(key, 0) + coeff

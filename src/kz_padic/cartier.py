@@ -4,7 +4,8 @@ Entry (i, j) is the coefficient of x**(j*p - 1) in x**(i-1) f(x)**((p-1)/2)
 reduced mod p; it is homogeneous of degree i + (g - j) p + (p - n)/2.  These
 matrices realize multiplication by p on the graded pieces of the solution
 module: reducing a level-t solution mod p expresses it over level t-1
-generators through C twisted by z -> z**(p**(t-1)).
+generators through C twisted by z -> z**(p**(t-1)), and over level t-m
+generators through the product of the m twists from t-m to t-1.
 """
 
 from __future__ import annotations
@@ -12,13 +13,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .kz import Check, KZInstance, failure_site
-from .solutions import extract_solution
+from .solutions import extract_at_index, module_sum
 from .sparsepoly import (
     DESK_TUPLE_LIMIT,
     DeskEnvelopeError,
     ModulusContext,
     Polynomial,
-    PolyVector,
     poly_to_json,
     product_power_slice,
     slice_size,
@@ -68,9 +68,7 @@ class CartierMatrix:
 
 def cartier_matrix(p: int, n: int) -> CartierMatrix:
     """C_i^j = coefficient of x**(j p - 1) in x**(i-1) f(x)**((p-1)/2) mod p."""
-    ModulusContext(p, 1)  # validates that p is an odd prime
-    if n % 2 == 0 or n < 3 or p < n:
-        raise ValueError("need odd n >= 3 and p >= n")
+    KZInstance(n, ModulusContext(p, 1))  # validates an odd prime p >= n and an odd n >= 3
     g = (n - 1) // 2
     zvars = z_variables(n)
     caps = ((p - 1) // 2,) * n
@@ -99,37 +97,6 @@ def matmul(A: CartierMatrix, B: CartierMatrix) -> CartierMatrix:
     return CartierMatrix(A.p, A.n, rows)
 
 
-def _level_solution(inst: KZInstance, t: int, l: int) -> PolyVector:
-    return extract_solution(inst.level(t), None, l, t).vector
-
-
-def _lowered_differences(inst: KZInstance, t: int, base_level: int,
-                         matrix: CartierMatrix) -> list:
-    """Per l = 1..g, reduced mod p: the level-t solution l minus
-    sum_m (level-base_level solution m) * matrix[m][l]."""
-    base = [_level_solution(inst, base_level, m) for m in range(1, inst.g + 1)]
-    diffs = []
-    for l in range(1, inst.g + 1):
-        rhs = PolyVector.zero(inst.n, inst.zvars)
-        for m, vec in enumerate(base, 1):
-            rhs = rhs + vec.scale(matrix.entry(m, l))
-        diffs.append((_level_solution(inst, t, l) - rhs).reduce_mod(inst.ctx.p))
-    return diffs
-
-
-def verify_grading_relation(inst: KZInstance, t: int) -> Check:
-    """Check I at level t = sum_m (level t-1 solution)_m * C_m^l(z**(p**(t-1))) mod p."""
-    if not 2 <= t <= inst.ctx.s:
-        raise ValueError(f"t={t} outside 2..{inst.ctx.s}")
-    C = cartier_matrix(inst.ctx.p, inst.n).twist(t - 1)
-    diffs = _lowered_differences(inst, t, t - 1, C)
-    first_mismatch = None
-    for l, diff in enumerate(diffs, 1):
-        first_mismatch = first_mismatch or failure_site(diff, l=l)
-    matches = [diff.is_zero() for diff in diffs]
-    return Check(passed=all(matches), t=t, matches=matches, first_mismatch=first_mismatch)
-
-
 def iterated_product(inst: KZInstance, t: int, m: int) -> CartierMatrix:
     """C(z**(p**(t-m))) C(z**(p**(t-m+1))) ... C(z**(p**(t-1))) mod p.
 
@@ -145,14 +112,37 @@ def iterated_product(inst: KZInstance, t: int, m: int) -> CartierMatrix:
     return product
 
 
-def verify_iterated_product(inst: KZInstance, t: int, m: int) -> Check:
-    """For t = s, m = s-1 also check the fully lowered reformulation:
-
-    the level-s solution reduces mod p to the level-1 solutions paired with
-    the full twisted matrix product.
-    """
+def _lowered_differences(inst: KZInstance, t: int, m: int) -> tuple:
+    """The product C(z**(p**(t-m))) ... C(z**(p**(t-1))) and, per l = 1..g, reduced
+    mod p: the level-t solution l minus sum_k (level t-m solution)_k * product[k][l]."""
+    if not 1 <= m < t <= inst.ctx.s:
+        raise ValueError(f"need 1 <= m < t <= {inst.ctx.s}, got t={t}, m={m}")
+    p, g = inst.ctx.p, inst.g
     product = iterated_product(inst, t, m)
-    reform = None
-    if t == inst.ctx.s and m == inst.ctx.s - 1 and m >= 1:
-        reform = all(diff.is_zero() for diff in _lowered_differences(inst, t, 1, product))
-    return Check(passed=reform is not False, product=product, reformulation_ok=reform)
+    upper = inst.level(t)
+    diffs = [(extract_at_index(upper, None, l * p ** t - 1)
+              - module_sum(inst, None, [(t - m, k, product.entry(k, l)) for k in range(1, g + 1)],
+                           t - m)).reduce_mod(p)
+             for l in range(1, g + 1)]
+    return product, diffs
+
+
+def verify_grading_relation(inst: KZInstance, t: int) -> Check:
+    """Check I at level t = sum_m (level t-1 solution)_m * C_m^l(z**(p**(t-1))) mod p."""
+    _, diffs = _lowered_differences(inst, t, 1)
+    first_mismatch = None
+    for l, diff in enumerate(diffs, 1):
+        first_mismatch = first_mismatch or failure_site(diff, l=l)
+    matches = [diff.is_zero() for diff in diffs]
+    return Check(passed=all(matches), t=t, matches=matches, first_mismatch=first_mismatch)
+
+
+def verify_iterated_product(inst: KZInstance, t: int, m: int) -> Check:
+    """Lower the level-t solutions m levels at once, for any 1 <= m < t <= s:
+
+    each reduces mod p to the level t-m solutions paired with the column of
+    the twisted matrix product.
+    """
+    product, diffs = _lowered_differences(inst, t, m)
+    reform = all(diff.is_zero() for diff in diffs)
+    return Check(passed=reform, product=product, reformulation_ok=reform)

@@ -22,7 +22,7 @@ from .asymptotic import (
     limit_series,
     prefactor_truncated,
     q_consistency_report,
-    truncated_expansion,
+    zone_request_size,
 )
 from .cartier import cartier_matrix, verify_grading_relation, verify_iterated_product
 from .convergence import (
@@ -34,7 +34,7 @@ from .convergence import (
 )
 from .kz import KZInstance, verify_solution
 from .solutions import extract_solution, validate_mvec
-from .sparsepoly import ModulusContext, vector_from_json
+from .sparsepoly import DESK_TUPLE_LIMIT, DeskEnvelopeError, ModulusContext, vector_from_json
 
 SCHEMA = "kz-padic/1"
 
@@ -217,10 +217,16 @@ def cmd_asympt(args):
     _at_least(args, "cutoff", 0)
     _at_least(args, "prec", 1)
     inst = _instance(args)
+    cutoff = args.cutoff if args.cutoff is not None else inst.ctx.half
+    prec = args.prec if args.prec is not None else args.s + 8
+    size = zone_request_size(inst, args.l, cutoff if args.series else None)
+    if size > DESK_TUPLE_LIMIT:             # the whole request, before any of it is built
+        raise DeskEnvelopeError(f"request would enumerate at least {size} tuples and indices, "
+                                f"above {DESK_TUPLE_LIMIT}")
     pre = prefactor_truncated(inst, args.l)
     fact = factorization_report(inst, args.l)
-    consistent = q_consistency_report(inst, args.l)
-    trunc = truncated_expansion(inst, args.l)
+    trunc = fact.truncation
+    consistent = q_consistency_report(trunc)
     artifact = {
         "schema": SCHEMA, "kind": "asympt",
         "p": args.p, "s": args.s, "n": args.n, "l": args.l,
@@ -231,8 +237,6 @@ def cmd_asympt(args):
         "truncation": trunc.to_json(),
     }
     if args.series:
-        cutoff = args.cutoff if args.cutoff is not None else inst.ctx.half
-        prec = args.prec if args.prec is not None else args.s + 8
         artifact["series"] = limit_series(args.p, args.n, args.l, cutoff, prec).to_json()
     ok = fact.passed and consistent
     return (0 if ok else 1), artifact

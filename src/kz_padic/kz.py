@@ -155,17 +155,21 @@ def kz_residue(I: PolyVector, i: int, inst: KZInstance) -> PolyVector:
     module docstring).  When every r_ik and dS/dz_i vanishes mod p**s so
     does the residual, and no polynomial is multiplied.
     """
-    n = inst.n
+    return _residue(I, i, inst, I.sum_entries())
+
+
+def _residue(I: PolyVector, i: int, inst: KZInstance, S: Polynomial) -> PolyVector:
+    """``kz_residue``, given the sum S = I_1 + ... + I_n of the vector."""
+    n, m = inst.n, inst.ctx.modulus
     if len(I) != n:
         raise ValueError(f"vector length {len(I)} != n={n}")
     if I.vars != inst.zvars:
         raise ValueError(f"vector over {I.vars}, expected {inst.zvars}")
     if not 1 <= i <= n:
         raise ValueError(f"equation {i} outside 1..{n}")
-    m = inst.ctx.modulus
     a = i - 1
     pairs = _pair_residues(I, i, inst.ctx)
-    dS = I.sum_entries().diff_index(a).reduce_mod(m).terms
+    dS = S.diff_index(a).reduce_mod(m).terms
     if not pairs and not dS:
         return PolyVector.zero(n, I.vars)
 
@@ -221,10 +225,11 @@ def verify_solution(I: PolyVector, inst: KZInstance) -> Check:
     Each residual is also evaluated at four points drawn with seed 0.
     """
     m = inst.ctx.modulus
-    total = I.sum_entries().reduce_mod(m)
+    S = I.sum_entries()
+    total = S.reduce_mod(m)
     sum_ok = total.is_zero()
     indices = range(1, inst.n + 1)
-    residues = [kz_residue(I, i, inst) for i in indices]
+    residues = [_residue(I, i, inst, S) for i in indices]
 
     equations = [r.is_zero() for r in residues]
     first_failure = failure_site(PolyVector([total]), equation="sum", component=0)

@@ -19,6 +19,8 @@ from kz_padic.asymptotic import (
     prefactor_truncated,
     q_consistency_report,
     series_constant_vector,
+    series_index_count,
+    series_indices,
     series_prefactor_exponents,
     shift_solution,
     translation_membership,
@@ -29,9 +31,10 @@ from kz_padic.asymptotic import (
     w_variables,
     x_dictionary,
     x_monomial,
+    zone_request_size,
 )
 from kz_padic.kz import KZInstance, verify_solution
-from kz_padic.padic import PAdic
+from kz_padic.padic import PAdic, binom_half_fraction
 from kz_padic.sparsepoly import (
     DeskEnvelopeError,
     ModulusContext,
@@ -183,7 +186,10 @@ def test_truncation_indices_satisfy_constraints():
     for p, s, n, l in [(5, 1, 5, 1), (5, 1, 5, 2), (5, 2, 3, 1)]:
         inst = make(p, s, n)
         st = truncated_expansion(inst, l)
-        assert st.constraints_ok()
+        assert all(index_class(n, l, a) for a in st.coeffs)
+    # both zone families go through one builder, which refuses an index off the hyperplanes
+    with pytest.raises(AssertionError):
+        list(asymptotic._zone_vectors(3, 1, [(4, 2)], [1] * 5, [1] * 5))
 
 
 @pytest.mark.parametrize("p,s,n", [(p, s, n) for p in (5, 7) for s in (1, 2) for n in (3, 5)])
@@ -194,7 +200,7 @@ def test_hyperplane_enumeration_equals_filtered_box(p, s, n):
         box = box_indices(n, l, M)
         walked = list(asymptotic._truncated_index_iter(n, l, M))
         assert len(walked) == len(box) == truncation_index_count(n, l, M)
-        assert dict(walked) == box
+        assert set(walked) == set(box)
         assert truncated_expansion(inst, l).coeffs == box_coefficients(n, l, M, box)
 
 
@@ -206,7 +212,7 @@ def test_desk_guard_counts_hyperplane_tuples():
     assert truncation_index_count(5, 1, M) == 89_436
     assert sum(1 for _ in asymptotic._truncated_index_iter(5, 1, M)) == 89_436
     st = truncated_expansion(inst, 1)
-    assert st.constraints_ok() and len(st.coeffs) <= 89_436
+    assert all(index_class(5, 1, a) for a in st.coeffs) and len(st.coeffs) <= 89_436
 
 
 def test_desk_guard_refuses_before_enumerating(monkeypatch):
@@ -233,6 +239,42 @@ def test_limit_series_small_values():
     a2 = series.coeffs[(2, 1)]
     assert a2[1] == PAdic.from_fraction(Fraction(3, 8) * Fraction(-3, 2), 5, 8)
     assert a2[2] == PAdic.from_fraction(Fraction(3, 8) * Fraction(-1, 2), 5, 8)
+
+
+@pytest.mark.parametrize("n,l", [(3, 1), (5, 1), (5, 2), (7, 1), (7, 2), (7, 3)])
+def test_series_index_count_matches_the_walk(n, l):
+    for cutoff in (0, 1, 2, 5, 9):
+        assert series_index_count(n, l, cutoff) == sum(1 for _ in series_indices(n, l, cutoff))
+
+
+def test_zone_request_size_sums_every_part():
+    # (p, s, n, l) = (7, 3, 5, 1): each part is under the desk limit, the sum is not
+    inst = make(7, 3, 5)
+    assert zone_request_size(inst, 1) == 862_924 + 877_971 + 1_740_895
+    assert zone_request_size(inst, 1, 3) == zone_request_size(inst, 1) + series_index_count(5, 1, 3)
+    assert zone_request_size(make(5, 1, 5), 1, 10 ** 12) > asymptotic.DESK_TUPLE_LIMIT
+
+
+def series_oracle(p, n, l, cutoff, N):
+    """Component j multiplies binom(-1/2 - [i = j], a_i) over i exactly, then embeds mod p**N."""
+    coeffs = {}
+    for a in series_indices(n, l, cutoff):
+        vec = [Fraction(0)] * n
+        for j in components_of_class(n, l, index_class(n, l, a)):
+            vec[j - 1] = math.prod(binom_half_fraction(int(i == j), e) for i, e in enumerate(a, 1))
+        coeffs[a] = tuple(PAdic.from_fraction(c, p, N) for c in vec)
+    return coeffs
+
+
+@pytest.mark.parametrize("p,n,l,cutoff,N", [
+    (5, 3, 1, 14, 2),       # v_5(binom(-1/2, 13)) = 2: some vectors vanish mod 5**2
+    (5, 5, 1, 6, 3), (5, 5, 2, 5, 4), (7, 3, 1, 9, 3), (7, 7, 2, 3, 2),
+])
+def test_limit_series_matches_exact_oracle(p, n, l, cutoff, N):
+    series = limit_series(p, n, l, cutoff, N)
+    assert series.coeffs == series_oracle(p, n, l, cutoff, N)
+    if (p, N) == (5, 2):
+        assert any(all(c.residue == 0 for c in vec) for vec in series.coeffs.values())
 
 
 def test_series_coefficients_are_integral():
@@ -289,7 +331,7 @@ def test_x_dictionary():
 def test_q_consistency():
     for p, s, n, l in [(5, 1, 3, 1), (5, 1, 5, 1), (5, 1, 5, 2), (5, 2, 3, 1)]:
         inst = make(p, s, n)
-        assert q_consistency_report(inst, l)
+        assert q_consistency_report(truncated_expansion(inst, l))
 
 
 def test_q_collapses_to_t_for_n3():

@@ -121,3 +121,41 @@ def test_iterated_reformulation_genus_one():
 def test_matmul_frame_mismatch():
     with pytest.raises(ValueError):
         matmul(cartier_matrix(5, 3), cartier_matrix(7, 3))
+
+
+@pytest.mark.parametrize("p,n,s", [(5, 3, 4), (7, 3, 3), (7, 5, 2)])
+def test_lowering_holds_at_every_level_pair(p, n, s):
+    inst = KZInstance(n, ModulusContext(p, s))
+    for t in range(2, s + 1):
+        for m in range(1, t):
+            report = verify_iterated_product(inst, t, m)
+            assert report.reformulation_ok is True and report.passed, (t, m)
+
+
+@pytest.mark.parametrize("p,n,s,t,m", [(5, 3, 3, 2, 1), (5, 5, 3, 2, 1)])
+def test_lowering_below_the_top_level_is_checked(p, n, s, t, m):
+    # these pairs are not (s, s-1), which once returned reformulation_ok=None
+    report = verify_iterated_product(KZInstance(n, ModulusContext(p, s)), t, m)
+    assert report.reformulation_ok is True and report.passed
+
+
+@pytest.mark.parametrize("t,m", [(3, 1), (3, 2), (2, 0), (2, 2)])
+def test_lowering_outside_the_levels_is_refused(t, m):
+    with pytest.raises(ValueError):
+        verify_iterated_product(KZInstance(3, ModulusContext(5, 2)), t, m)
+
+
+def test_lowering_fails_on_a_tampered_matrix(monkeypatch):
+    p, n, s, t, m = 5, 3, 3, 2, 1
+    inst = KZInstance(n, ModulusContext(p, s))
+    untampered = cartier.cartier_matrix
+
+    def tampered(p_, n_):
+        C = untampered(p_, n_)
+        entry = (C.entry(1, 1) + Polynomial(z_variables(n_), {(1, 0, 0): 1})).reduce_mod(p_)
+        return cartier.CartierMatrix(p_, n_, [[entry]])
+
+    monkeypatch.setattr(cartier, "cartier_matrix", tampered)
+    report = verify_iterated_product(inst, t, m)
+    assert report.reformulation_ok is False and not report.passed
+    assert verify_grading_relation(inst, t).matches == [False]

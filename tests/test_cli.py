@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import test_golden
-from kz_padic import cli, sparsepoly
+from kz_padic import asymptotic, cli, sparsepoly
 from kz_padic.cli import build_parser, main
 
 
@@ -323,6 +323,40 @@ def test_every_slice_is_refused_before_enumerating(argv, monkeypatch):
     with pytest.raises(SystemExit) as err:
         run(argv)
     assert err.value.code == 2
+
+
+@pytest.mark.parametrize("argv", [
+    # 862,924 + 877,971 slice tuples and 1,740,895 truncation indices
+    ["asympt", "--p", 7, "--s", 3, "--n", 5, "--l", 1],
+    # 5,474,502 series indices
+    ["asympt", "--p", 5, "--s", 1, "--n", 5, "--l", 1, "--series", "--cutoff", 400],
+    ["asympt", "--p", 5, "--s", 1, "--n", 5, "--l", 1, "--series", "--cutoff", 10 ** 12],
+])
+def test_asympt_request_is_budgeted_as_a_whole(argv, monkeypatch, capsys):
+    def enumerate_nothing(*args):
+        raise AssertionError("enumerated past the desk guard")
+
+    monkeypatch.setattr(sparsepoly, "bounded_compositions", enumerate_nothing)
+    monkeypatch.setattr(asymptotic, "bounded_compositions", enumerate_nothing)
+    with pytest.raises(SystemExit) as err:
+        run(argv)
+    assert err.value.code == 2
+    assert "above 2000000" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("series", [[], ["--series", "--cutoff", 3]])
+def test_asympt_builds_one_truncation(series, monkeypatch, tmp_path):
+    calls = []
+    original = asymptotic.truncated_expansion
+
+    def counting(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(asymptotic, "truncated_expansion", counting)
+    assert run(["asympt", "--p", 5, "--s", 1, "--n", 5, "--l", 1, *series,
+                "--out", tmp_path / "asy.json"]) == 0
+    assert len(calls) == 1
 
 
 def test_converge_n5_reaches_level_three(tmp_path):

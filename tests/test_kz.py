@@ -213,12 +213,13 @@ def assert_matches_oracle(vec, inst, monkeypatch):
     """kz_residue equals the oracle on every equation, and so do the verify payloads."""
     oracle = {}
 
-    def recording(I, i, inst_):
+    def recording(I, i, inst_, S):
+        assert S == I.sum_entries()
         oracle[i] = expanded_residue(I, i, inst_)
         return oracle[i]
 
     with monkeypatch.context() as patch:
-        patch.setattr(kz, "kz_residue", recording)
+        patch.setattr(kz, "_residue", recording)
         expected = verify_solution(vec, inst).to_json()
     for i in range(1, inst.n + 1):
         assert kz_residue(vec, i, inst) == oracle[i], f"equation {i}"
@@ -362,3 +363,29 @@ def test_master_vector_identities_rejects_bad_input():
         master_vector_identities(PolyVector.zero(3, inst.zvars), inst)
     with pytest.raises(ValueError):
         master_vector_identities(PolyVector.zero(2, ("x",) + inst.zvars), inst)
+
+
+def test_verify_solution_sums_the_vector_once(monkeypatch):
+    inst = KZInstance(5, ModulusContext(5, 1))
+    vec = extract_solution(inst, None, 1).vector
+    calls = []
+    original = PolyVector.sum_entries
+
+    def counting(self):
+        calls.append(self)
+        return original(self)
+
+    monkeypatch.setattr(PolyVector, "sum_entries", counting)
+    assert verify_solution(vec, inst).passed
+    assert len(calls) == 1
+    calls.clear()
+    kz_residue(vec, 2, inst)
+    assert len(calls) == 1
+
+
+def test_verify_solution_checks_the_frame():
+    inst = KZInstance(3, ModulusContext(5, 1))
+    with pytest.raises(ValueError):
+        verify_solution(PolyVector.zero(5, z_variables(5)), inst)
+    with pytest.raises(ValueError):
+        verify_solution(PolyVector.zero(3, ("a", "b", "c")), inst)
