@@ -467,18 +467,33 @@ def disjoint_domain_probe(p: int, count: int, seed: int) -> Check:
     domain needs u_1**3 u_2**2 u_3 to be a unit while u_3 sits in the zero
     disc; the second needs u_1 a unit with u_2 in the zero disc.  Jointly
     they would force val(u_3) = -2 val(u_2) <= -2 and val(u_3) >= 1 at once.
+    A pass needs points in both domains and none in their intersection.
+
+    Stream contract: a coordinate is val = randrange(-2, 3) and
+    unit = randrange(1, p**4), redrawn while p | unit, from
+    random.Random(seed).  The draws spell out randrange's own rule --
+    randrange(a, b) is a + r with r = getrandbits((b - a).bit_length()),
+    redrawn while r >= b - a -- so the Mersenne Twister stream, hence every
+    sampled point and count, is the one randrange would give.
     """
+    ModulusContext(p, 1)  # validates that p is an odd prime
     if count < 1:
         raise ValueError(f"need count >= 1, got {count}: the probe would pass vacuously")
-    rng = random.Random(seed)
+    bits = random.Random(seed).getrandbits
     squares = {a for a in range(1, p) if legendre(a, p) == 1}
+    unit_width = p ** 4 - 1
+    unit_bits = unit_width.bit_length()
 
     def sample_coord():
-        val = rng.randrange(-2, 3)
-        unit = rng.randrange(1, p ** 4)
-        while unit % p == 0:
-            unit = rng.randrange(1, p ** 4)
-        return val, unit
+        val = bits(3)
+        while val >= 5:
+            val = bits(3)
+        # randrange's redraw (r >= width) and the p | unit redraw each take
+        # one fresh draw of the same width, so one loop serves both
+        r = bits(unit_bits)
+        while r >= unit_width or (r + 1) % p == 0:
+            r = bits(unit_bits)
+        return val - 2, r + 1
 
     def in_unit_disc(val, unit):
         return val == 0 and (unit % p) in squares
@@ -499,8 +514,8 @@ def disjoint_domain_probe(p: int, count: int, seed: int) -> Check:
     reason = ("first domain forces val(u2^2 u3) = 0 with val(u1) = 0, "
               "second forces val(u2) >= 1, hence val(u3) <= -2, "
               "contradicting val(u3) >= 1 in the first")
-    return Check(passed=both == 0, points=count, in_first=first, in_second=second,
-                 in_both=both, reason=reason)
+    return Check(passed=both == 0 and first > 0 and second > 0, points=count,
+                 in_first=first, in_second=second, in_both=both, reason=reason)
 
 
 # -- the classical one-variable partial sums ----------------------------------------------

@@ -1,5 +1,6 @@
 import functools
 import math
+import random
 import time
 from fractions import Fraction
 
@@ -477,6 +478,56 @@ def test_disjoint_domains():
 def test_disjoint_domains_refuses_no_points():
     with pytest.raises(ValueError, match="need count >= 1"):
         disjoint_domain_probe(5, 0, 1)
+
+
+def _randrange_probe_counts(p, count, seed):
+    """(in_first, in_second, in_both) with the points drawn by randrange itself."""
+    rng = random.Random(seed)
+    squares = {a * a % p for a in range(1, p)}
+
+    def coord():
+        val = rng.randrange(-2, 3)
+        unit = rng.randrange(1, p ** 4)
+        while unit % p == 0:
+            unit = rng.randrange(1, p ** 4)
+        return val, unit
+
+    first = second = both = 0
+    for _ in range(count):
+        (v1, a1), (v2, a2), (v3, a3), (v4, a4) = [coord() for _ in range(4)]
+        p1 = (3 * v1 + 2 * v2 + v3 == 0 and a1 ** 3 * a2 ** 2 * a3 % p in squares
+              and v2 + v3 >= 1 and v3 >= 1 and v4 >= 1)
+        p2 = (v1 == 0 and a1 % p in squares
+              and v2 >= 1 and v2 + v3 >= 1 and v2 + v3 + v4 >= 1)
+        first += p1
+        second += p2
+        both += p1 and p2
+    return first, second, both
+
+
+@pytest.mark.parametrize("seed", [0, 1, 7, 101])
+@pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
+def test_disjoint_probe_follows_the_randrange_stream(p, seed):
+    # the probe draws from getrandbits by randrange's rule, so its counts
+    # are those of the randrange sampler, point for point
+    for count in (1, 17, 10_000):
+        report = disjoint_domain_probe(p, count, seed)
+        assert (report.in_first, report.in_second, report.in_both) == \
+            _randrange_probe_counts(p, count, seed), (p, seed, count)
+
+
+@pytest.mark.parametrize("p", [1, 2, 4, 9])
+def test_disjoint_probe_refuses_non_prime_p(p):
+    with pytest.raises(ValueError, match="not an odd prime"):
+        disjoint_domain_probe(p, 100, 1)
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_disjoint_probe_fails_with_an_empty_domain(seed):
+    # one point lands in at most one domain, so the probe checks nothing
+    report = disjoint_domain_probe(5, 1, seed)
+    assert report.in_first == 0 or report.in_second == 0
+    assert not report.passed
 
 
 def test_classic_partial_sums_reality():
