@@ -20,13 +20,14 @@ from itertools import accumulate
 from .kz import Check, KZInstance, failure_site
 from .padic import PAdic, binom_half, int_valuation
 from .sparsepoly import (
-    DESK_TUPLE_LIMIT,
-    DeskEnvelopeError,
     Polynomial,
     PolyVector,
     bounded_compositions,
+    desk_check,
+    digits,
     product_power_gradient,
     product_power_slice,
+    slice_cost,
     slice_size,
     u_variables,
 )
@@ -65,7 +66,16 @@ def difference_form(inst: KZInstance, l: int) -> PolyVector:
 
 
 def shift_solution(inst: KZInstance, l: int) -> PolyVector:
-    """The shifted solution expressed back in z (expanding w_i = z_i - z_n)."""
+    """The shifted solution expressed back in z (expanding w_i = z_i - z_n).
+
+    The expansion is naive: each of the n-1 terms per slice tuple, of degree
+    T = nM - l p**s, makes up to C(T+n-1, n-1) z-monomials added into a sum.
+    """
+    check_index(inst.n, l)
+    n, M = inst.n, inst.ctx.half
+    T = n * M - l * inst.ctx.modulus
+    desk_check((n - 1) * truncation_index_count(n, l, M) * math.comb(T + n - 1, n - 1)
+               * digits((n - 1) * M), "expansion into z")
     diff = difference_form(inst, l)
     zvars = inst.zvars
     zn = Polynomial.variable(zvars[-1], zvars)
@@ -73,8 +83,6 @@ def shift_solution(inst: KZInstance, l: int) -> PolyVector:
         f"w{i}": Polynomial.variable(zvars[i - 1], zvars) - zn
         for i in range(1, inst.n)
     }
-    if any(len(e) > 20_000 for e in diff.entries):
-        raise DeskEnvelopeError("difference form too large to expand into z")
     return diff.map(lambda e: e.substitute(images, zvars))
 
 
@@ -218,26 +226,29 @@ def truncation_index_count(n: int, l: int, M: int) -> int:
     return slice_size(caps, top - 1) + slice_size(caps, top)
 
 
-def zone_request_size(inst: KZInstance, l: int, cutoff: int | None = None) -> int:
-    """Tuples and indices a zone request enumerates, in closed form.
-
-    The two slices of ``difference_form`` hold as many tuples as the
-    truncation has indices; with a cutoff, the limit series' indices add.
-    """
+def zone_request_cost(inst: KZInstance, l: int, cutoff: int | None = None,
+                      N: int | None = None) -> int:
+    """Work of a zone request: the two slices of ``difference_form``, per truncation index
+    2(n-1) multiplies and about n**2 steps of bookkeeping on integers below 2**((n-1)M),
+    and with a cutoff the limit series mod p**N."""
     check_index(inst.n, l)
-    size = 2 * truncation_index_count(inst.n, l, inst.ctx.half)
-    return size + (_series_size(inst.n, l, cutoff) if cutoff is not None else 0)
+    n, M = inst.n, inst.ctx.half
+    k, caps = l * inst.ctx.modulus - 1 - M, (M,) * (n - 1)     # k: the gradient slice's index
+    cost = slice_cost(caps, k, 2 * (n - 1)) + slice_cost(caps, k + 1)
+    cost += truncation_index_count(n, l, M) * (2 * (n - 1) + n * n) * digits((n - 1) * M)
+    return cost + (series_cost(inst.ctx.p, n, l, cutoff, N) if cutoff is not None else 0)
 
 
 def _truncated_index_iter(n: int, l: int, M: int):
     """Indices on the two hyperplanes ``index_class`` accepts.
 
     Each right block is paired with the left blocks whose sum puts the
-    index on A or on B; tuples off both hyperplanes are never formed.
+    index on A or on B; tuples off both hyperplanes are never formed, and
+    no right block is listed whose sum r + l - 1 no left block reaches.
     """
     block = n - 2 * l
     left_caps, right_caps = (M,) * block, (M,) * (n - 1 - block)
-    for r in range(sum(right_caps) + 1):
+    for r in range(min(sum(right_caps), block * M - l + 1) + 1):
         rights = list(bounded_compositions(r, right_caps))
         for offset in (l - 1, l):
             for left in bounded_compositions(r + offset, left_caps):
@@ -265,16 +276,18 @@ def series_index_count(n: int, l: int, cutoff: int) -> int:
     return total
 
 
-def _series_size(n: int, l: int, cutoff: int) -> int:
-    """``series_index_count`` for the desk guard, in at most a few thousand terms.
+def series_cost(p: int, n: int, l: int, cutoff: int, N: int) -> int:
+    """Work of the limit series: per index about n**2 steps on residues mod p**N,
+    and n PAdic values built and written as three-field records, about 40 steps each.
 
     With a visible slot before the balance slot, the indices with o = l-1 and
-    F <= cutoff/2 number at least (h+1)**2 at cutoff 2h, above DESK_TUPLE_LIMIT
-    from h = isqrt(DESK_TUPLE_LIMIT) + 1 on, so a larger cutoff is counted there.
+    F <= cutoff/2 number at least (h+1)**2 at cutoff 2h.  That lower bound is
+    checked first, so an admitted cutoff is counted in a few thousand terms.
     """
+    weight = n * (n * digits((p ** N).bit_length()) + 40)
     if n - 2 * l > 1:
-        cutoff = min(cutoff, 2 * math.isqrt(DESK_TUPLE_LIMIT) + 2)
-    return series_index_count(n, l, cutoff)
+        desk_check(weight * (cutoff // 2 + 1) ** 2, "series")
+    return weight * series_index_count(n, l, cutoff)
 
 
 def series_indices(n: int, l: int, cutoff: int):
@@ -335,8 +348,7 @@ def truncated_expansion(inst: KZInstance, l: int) -> SeriesTruncation:
     """
     n, M = inst.n, inst.ctx.half
     check_index(n, l)
-    if truncation_index_count(n, l, M) > DESK_TUPLE_LIMIT:
-        raise DeskEnvelopeError("truncation index range above desk budget")
+    desk_check(zone_request_cost(inst, l), "truncation")    # with the slices it pairs with
     plain = [math.comb(M, e) for e in range(M + 1)]
     special = [math.comb(M - 1, e) for e in range(M + 1)]
     coeffs = {a: tuple(vec) for a, vec in
@@ -351,8 +363,7 @@ def limit_series(p: int, n: int, l: int, cutoff: int, N: int) -> SeriesTruncatio
     residues mod p**N.  Vectors that vanish mod p**N are kept.
     """
     check_index(n, l)
-    if _series_size(n, l, cutoff) > DESK_TUPLE_LIMIT:
-        raise DeskEnvelopeError("series index range above desk budget")
+    desk_check(series_cost(p, n, l, cutoff, N), "series")
     top = cutoff + l + 1  # the balance slot can exceed the visible degrees by l
     plain = [binom_half(0, e, p, N).residue for e in range(top + 1)]
     special = [binom_half(1, e, p, N).residue for e in range(top + 1)]

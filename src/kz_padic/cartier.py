@@ -15,13 +15,12 @@ from dataclasses import dataclass
 from .kz import Check, KZInstance, failure_site
 from .solutions import extract_at_index, module_sum
 from .sparsepoly import (
-    DESK_TUPLE_LIMIT,
-    DeskEnvelopeError,
     ModulusContext,
     Polynomial,
+    desk_check,
     poly_to_json,
     product_power_slice,
-    slice_size,
+    slice_cost,
     z_variables,
 )
 
@@ -73,9 +72,7 @@ def cartier_matrix(p: int, n: int) -> CartierMatrix:
     zvars = z_variables(n)
     caps = ((p - 1) // 2,) * n
     index = [[j * p - i for j in range(1, g + 1)] for i in range(1, g + 1)]
-    size = sum(slice_size(caps, k) for row in index for k in row)
-    if size > DESK_TUPLE_LIMIT:
-        raise DeskEnvelopeError(f"matrix would enumerate {size} tuples, above {DESK_TUPLE_LIMIT}")
+    desk_check(sum(slice_cost(caps, k) for row in index for k in row), "matrix")
     entries = [[Polynomial(zvars, product_power_slice(caps, k)).reduce_mod(p) for k in row]
                for row in index]
     return CartierMatrix(p, n, entries)

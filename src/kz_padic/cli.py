@@ -22,7 +22,7 @@ from .asymptotic import (
     limit_series,
     prefactor_truncated,
     q_consistency_report,
-    zone_request_size,
+    zone_request_cost,
 )
 from .cartier import cartier_matrix, verify_grading_relation, verify_iterated_product
 from .convergence import (
@@ -34,7 +34,7 @@ from .convergence import (
 )
 from .kz import KZInstance, verify_solution
 from .solutions import extract_solution, validate_mvec
-from .sparsepoly import DESK_TUPLE_LIMIT, DeskEnvelopeError, ModulusContext, vector_from_json
+from .sparsepoly import ModulusContext, desk_check, vector_from_json
 
 SCHEMA = "kz-padic/1"
 
@@ -166,6 +166,10 @@ def cmd_verify(args):
             data = json.load(fh, parse_float=_reject_float)
         try:
             params = {k: data[k] for k in ("p", "s", "n", "l", "r")}
+            fields = [*params.items(), *(("mvec", m) for m in data.get("mvec") or ())]
+            bad = next((k for k, v in fields if type(v) is not int), None)  # true is an int too
+            if bad:
+                raise ValueError(f"{args.infile}: {bad} must hold integers only")
             # a bare SolutionRecord.to_json() payload carries no tags; present tags must match
             if (data.get("schema", SCHEMA), data.get("kind", "solution")) != (SCHEMA, "solution"):
                 raise ValueError(f"{args.infile}: not a {SCHEMA} solution artifact")
@@ -219,10 +223,8 @@ def cmd_asympt(args):
     inst = _instance(args)
     cutoff = args.cutoff if args.cutoff is not None else inst.ctx.half
     prec = args.prec if args.prec is not None else args.s + 8
-    size = zone_request_size(inst, args.l, cutoff if args.series else None)
-    if size > DESK_TUPLE_LIMIT:             # the whole request, before any of it is built
-        raise DeskEnvelopeError(f"request would enumerate at least {size} tuples and indices, "
-                                f"above {DESK_TUPLE_LIMIT}")
+    # the whole request, before any of it is built
+    desk_check(zone_request_cost(inst, args.l, cutoff if args.series else None, prec), "request")
     pre = prefactor_truncated(inst, args.l)
     fact = factorization_report(inst, args.l)
     trunc = fact.truncation

@@ -59,7 +59,7 @@ from .padic import (
     legendre,
     teichmuller,
 )
-from .sparsepoly import DeskEnvelopeError, ModulusContext
+from .sparsepoly import ModulusContext, desk_check, digits
 
 
 def sample_disc(p: int, alpha: int, count: int, seed: int, N: int) -> list:
@@ -143,10 +143,6 @@ def check_bin_bound(p: int, l1: int, l2: int, a_max: int, s_values) -> Check:
 
 
 # -- zone sums by per-slot generating functions ---------------------------------------
-
-# Work budget of one converge run in digit multiply-adds (``convergence_cost``).
-DESK_MULADD_LIMIT = 100_000_000
-
 
 def _mul(a: list, b: list, m: int) -> list:
     out = [0] * (len(a) + len(b) - 1)
@@ -287,17 +283,8 @@ def convergence_cost(p: int, n: int, l: int, s_max: int, count: int, N: int) -> 
     top = _row_top(l, N)
     per_sample = zone_muladds(n, l, top, N) + sum(
         zone_muladds(n, l, min(top, (p ** s - 1) // 2), N) for s in range(1, s_max + 1))
-    digits = -(-(p ** N).bit_length() // 30)
     walk = sum(2 * math.comb(s + n - 2, n - 2) for s in range(1, s_max + 1))
-    return count * per_sample * digits + n * n * walk
-
-
-def _check_desk(p: int, n: int, l: int, s_max: int, count: int, N: int) -> None:
-    cost = convergence_cost(p, n, l, s_max, count, N)
-    if cost > DESK_MULADD_LIMIT:
-        raise DeskEnvelopeError(
-            f"convergence run needs about {cost} multiply-adds, "
-            f"above the desk budget of {DESK_MULADD_LIMIT}")
+    return count * per_sample * digits((p ** N).bit_length()) + n * n * walk
 
 
 def tail_floor(cutoff: int) -> int:
@@ -368,12 +355,16 @@ def least_precision(s_max: int) -> int:
     return s_max + 3
 
 
-def _check_run(s_max: int, count: int, N: int) -> None:
-    """Refuse a run with no rows or no samples, which would pass vacuously."""
+def _check_run(p: int, n: int, l: int, s_max: int, count: int, N: int) -> None:
+    """Refuse, before any work, a run with no rows or no samples (it would pass
+    vacuously), bad parameters, or work above the desk budget."""
     if s_max < 1 or count < 1:
         raise ValueError(f"need s_max >= 1 and count >= 1, got {s_max} and {count}")
     if N < least_precision(s_max):
         raise PrecisionError(f"N={N} too small for s_max={s_max}")
+    check_index(n, l)
+    KZInstance(n, ModulusContext(p, 1))     # an odd prime p >= n and an odd n >= 3
+    desk_check(convergence_cost(p, n, l, s_max, count, N), "convergence run")
 
 
 def converge_T_n3(p: int, s_max: int, count: int, seed: int, N: int) -> Check:
@@ -384,8 +375,7 @@ def converge_T_n3(p: int, s_max: int, count: int, seed: int, N: int) -> Check:
     u_1**(-3/2) via the Hensel square root on the branch 1.  At n = 3 the
     sums carry no u_1 and their u_2 is the x_2 of the zone sums.
     """
-    _check_run(s_max, count, N)
-    _check_desk(p, 3, 1, s_max, count, N)
+    _check_run(p, 3, 1, s_max, count, N)
     rows, constant_term_vals = [], {}
     u2s = sample_disc(p, 0, count, seed, N)
     u1s = sample_disc(p, 1, count, seed + 1, N)
@@ -432,10 +422,7 @@ def converge_Q_general(p: int, n: int, l: int, s_max: int, count: int, seed: int
     Samples put x_1 in the disc of 1, where the square root takes the
     branch 1, and x_2..x_{n-1} in the zero disc.
     """
-    _check_run(s_max, count, N)
-    check_index(n, l)
-    KZInstance(n, ModulusContext(p, 1))     # p and n are checked before any work
-    _check_desk(p, n, l, s_max, count, N)
+    _check_run(p, n, l, s_max, count, N)
     rows = []
     x1s = sample_disc(p, 1, count, seed, N)
     rest = [sample_disc(p, 0, count, seed + 10 + i, N) for i in range(n - 2)]

@@ -7,7 +7,7 @@ solves the system mod p**s for l = 1..g.  As dPhi/dz_j = -M_j Phi/(x - z_j), it 
 gradient of one slice of Phi: -M_j I_j = d/dz_j [Phi]_{x**k} exactly over Z.  The slice
 never expands the full product: a z-monomial z**d occurs in Phi only with x-exponent
 sum(M)-sum(d), so only the bounded compositions of the matching total are enumerated,
-and a slice above DESK_TUPLE_LIMIT tuples is refused before that.  The naive full
+and a slice above the desk budget is refused before that.  The naive full
 expansion is kept as an independent oracle for desk-scale cross-checks.
 """
 

@@ -15,11 +15,24 @@ from typing import Iterable, Iterator, Mapping
 
 Monomial = tuple  # exponent tuple, one entry per ambient variable
 
-DESK_TUPLE_LIMIT = 2_000_000  # slices with more tuples are outside the intended desk scale
+DESK_LIMIT = 40_000_000  # the work of one request, in 30-bit-digit multiply-adds
 
 
 class DeskEnvelopeError(ValueError):
-    """Requested parameters exceed the supported enumeration budget."""
+    """Requested parameters exceed the desk budget."""
+
+
+def digits(bits: int) -> int:
+    """30-bit digits (CPython's int digit) of an integer below 2**bits; at least 1."""
+    return max(1, -(-bits // 30))
+
+
+def desk_check(cost: int, what: str) -> None:
+    """Refuse work above the one desk budget.  Callers count it beforehand in closed
+    form, each item weighted by its operations and the digits of its largest integer."""
+    if cost > DESK_LIMIT:
+        raise DeskEnvelopeError(f"{what} would cost about {cost} digit multiply-adds, "
+                                f"above the desk budget of {DESK_LIMIT}")
 
 
 class VariableMismatch(ValueError):
@@ -287,34 +300,8 @@ class Polynomial:
             total += term
         return total % modulus
 
-    # -- formatting -----------------------------------------------------------
-
     def __repr__(self) -> str:
-        return f"Polynomial({format_poly(self)!r}, vars={self.vars})"
-
-    def __str__(self) -> str:
-        return format_poly(self)
-
-
-def format_poly(poly: Polynomial) -> str:
-    """Human-readable rendering, the lex-largest monomial first."""
-    if not poly.terms:
-        return "0"
-    pieces = []
-    for mono in sorted(poly.terms, reverse=True):
-        coeff = poly.terms[mono]
-        factors = [f"{v}^{e}" if e > 1 else v for v, e in zip(poly.vars, mono) if e]
-        body = "*".join(factors)
-        if not body:
-            pieces.append(f"{coeff}")
-        elif coeff == 1:
-            pieces.append(body)
-        elif coeff == -1:
-            pieces.append(f"-{body}")
-        else:
-            pieces.append(f"{coeff}*{body}")
-    out = " + ".join(pieces).replace("+ -", "- ")
-    return out
+        return f"Polynomial({self.vars}, {self.terms})"
 
 
 def _add_into(total: dict, terms: Mapping) -> None:
@@ -444,10 +431,8 @@ def bounded_compositions(total: int, caps) -> Iterator[tuple]:
 
 def slice_tuples(exponents, k: int) -> Iterator[tuple]:
     """The Y-exponent tuples of the slice at X**k of prod_i (X - Y_i)**E_i; every slice
-    the package enumerates comes from here, refused above DESK_TUPLE_LIMIT before the first."""
-    size = slice_size(exponents, k)
-    if size > DESK_TUPLE_LIMIT:
-        raise DeskEnvelopeError(f"slice would enumerate {size} tuples, above {DESK_TUPLE_LIMIT}")
+    the package enumerates comes from here, checked against the desk budget before the first."""
+    desk_check(slice_cost(exponents, k), f"slice at X**{k}")
     return bounded_compositions(sum(exponents) - k, exponents)
 
 
@@ -474,7 +459,10 @@ def product_power_gradient(exponents, k: int, variables) -> PolyVector:
     As d/dY_i prod_j (X - Y_j)**E_j = -E_i prod_j (X - Y_j)**E_j / (X - Y_i), that is the
     X**k coefficient of the product over (X - Y_i), exactly over Z; an inexact division
     raises AssertionError.  A derivative shifts monomials injectively: no terms merge.
+    Its cost counts 2n passes per tuple: the n entries, and the verifier's pair
+    residues or the zone map over each.
     """
+    desk_check(slice_cost(exponents, k, 2 * len(exponents)), f"gradient at X**{k}")
     sl = product_power_slice(exponents, k)
     entries = []
     for i, cap in enumerate(exponents):
@@ -512,6 +500,17 @@ def slice_size(exponents, k: int) -> int:
         shifts = nxt
     return sum(c * math.comb(total - t + n - 1, n - 1)
                for t, c in shifts.items() if t <= total)
+
+
+def slice_cost(exponents, k: int, passes: int = 1) -> int:
+    """Work of the slice at X**k: per tuple, n multiplies of its coefficient and ``passes``
+    walks over its n exponents.  The coefficient is at most binom(E, K), E = sum(E_i),
+    K = min(k, E - k) (Vandermonde), which is below both 2**E and (4E/K)**K."""
+    exponents = tuple(exponents)
+    n, E = len(exponents), sum(exponents)
+    K = min(k, E - k)
+    bits = min(E, K * ((E // K).bit_length() + 2)) if K > 0 else 1
+    return slice_size(exponents, k) * n * (digits(bits) + passes)
 
 
 # -- modulus context ----------------------------------------------------------

@@ -31,15 +31,18 @@ from kz_padic.asymptotic import (
     w_variables,
     x_dictionary,
     x_monomial,
-    zone_request_size,
+    zone_request_cost,
 )
 from kz_padic.kz import KZInstance, verify_solution
 from kz_padic.padic import PAdic, binom_half_fraction
 from kz_padic.sparsepoly import (
+    DESK_LIMIT,
     DeskEnvelopeError,
     ModulusContext,
     Polynomial,
     PolyVector,
+    digits,
+    slice_cost,
     u_variables,
 )
 
@@ -208,7 +211,7 @@ def test_desk_guard_counts_hyperplane_tuples():
     # (p, s, n, l) = (5, 3, 5, 1): the box has 63**4 tuples, the hyperplanes 89,436
     inst = make(5, 3, 5)
     M = inst.ctx.half
-    assert (M + 1) ** 4 > asymptotic.DESK_TUPLE_LIMIT
+    assert zone_request_cost(inst, 1) * (M + 1) ** 4 // 89_436 > DESK_LIMIT
     assert truncation_index_count(5, 1, M) == 89_436
     assert sum(1 for _ in asymptotic._truncated_index_iter(5, 1, M)) == 89_436
     st = truncated_expansion(inst, 1)
@@ -248,11 +251,17 @@ def test_series_index_count_matches_the_walk(n, l):
 
 
 def test_zone_request_size_sums_every_part():
-    # (p, s, n, l) = (7, 3, 5, 1): each part is under the desk limit, the sum is not
+    # (p, s, n, l) = (7, 3, 5, 1): 862,924 + 877,971 slice tuples and 1,740,895 indices
     inst = make(7, 3, 5)
-    assert zone_request_size(inst, 1) == 862_924 + 877_971 + 1_740_895
-    assert zone_request_size(inst, 1, 3) == zone_request_size(inst, 1) + series_index_count(5, 1, 3)
-    assert zone_request_size(make(5, 1, 5), 1, 10 ** 12) > asymptotic.DESK_TUPLE_LIMIT
+    M = inst.ctx.half
+    # the gradient slice at v-index 171 and the plain one at 172, coefficients below 2**684
+    slices = slice_cost((M,) * 4, 171, 8) + slice_cost((M,) * 4, 172)
+    assert slices == 862_924 * 4 * (digits(684) + 8) + 877_971 * 4 * (digits(684) + 1)
+    assert zone_request_cost(inst, 1) == slices + 1_740_895 * (8 + 25) * digits(4 * M)
+    series = series_index_count(5, 1, 3) * 5 * (5 * digits(31) + 40)    # 7**11 < 2**31
+    assert zone_request_cost(inst, 1, 3, 11) == zone_request_cost(inst, 1) + series
+    with pytest.raises(DeskEnvelopeError):
+        zone_request_cost(make(5, 1, 5), 1, 10 ** 12, 9)
 
 
 def series_oracle(p, n, l, cutoff, N):

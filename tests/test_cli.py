@@ -1,13 +1,20 @@
+import ast
 import json
 import time
 from decimal import Decimal
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import test_golden
 from kz_padic import asymptotic, cli, sparsepoly
+from kz_padic.asymptotic import zone_request_cost
 from kz_padic.cli import build_parser, main
+from kz_padic.convergence import convergence_cost
+from kz_padic.kz import KZInstance
+from kz_padic.solutions import validate_mvec
+from kz_padic.sparsepoly import DESK_LIMIT, DeskEnvelopeError, ModulusContext, slice_cost
 
 
 def run(argv):
@@ -283,6 +290,23 @@ def test_relabelled_artifact_is_usage_error(params, key, value, tmp_path, capsys
             in capsys.readouterr().err)
 
 
+@pytest.mark.parametrize("key,value", [
+    ("p", True), ("s", True), ("n", True), ("l", True), ("r", True), ("mvec", [2, 2, True]),
+    ("l", "1"), ("mvec", "2,2,2"),
+])
+def test_non_integer_parameters_are_usage_error(key, value, tmp_path, capsys):
+    # true would pass as 1: before, "l": true verified with exit 0 and echoed "l": true
+    sol = tmp_path / "sol.json"
+    run(["gen", "--p", 5, "--s", 1, "--n", 3, "--l", 1, "--out", sol])
+    data = json.loads(sol.read_text())
+    data[key] = value
+    sol.write_text(json.dumps(data))
+    with pytest.raises(SystemExit) as err:
+        run(["verify", "--in", sol])
+    assert err.value.code == 2
+    assert f"{key} must hold integers only" in capsys.readouterr().err
+
+
 def test_untagged_solution_payload_verifies(tmp_path):
     # SolutionRecord.to_json() carries no schema/kind; only present tags are checked
     sol = tmp_path / "sol.json"
@@ -341,7 +365,7 @@ def test_asympt_request_is_budgeted_as_a_whole(argv, monkeypatch, capsys):
     with pytest.raises(SystemExit) as err:
         run(argv)
     assert err.value.code == 2
-    assert "above 2000000" in capsys.readouterr().err
+    assert "above the desk budget" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("series", [[], ["--series", "--cutoff", 3]])
@@ -391,6 +415,37 @@ def test_converge_desk_guard_refuses_at_once(capsys):
     with pytest.raises(SystemExit) as err:
         run(["converge", "--p", 5, "--n", 5, "--l", 1, "--smax", 2,
              "--samples", 10 ** 7])
+    assert err.value.code == 2
+    assert time.perf_counter() - start < 1.0
+    assert "above the desk budget" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("p", [1, 2, 4])
+def test_converge_refuses_a_p_that_is_not_an_odd_prime(p, capsys):
+    # --p 1 used to hang in int_valuation(m, 1); 2 and 4 failed deep in the p-adic code
+    start = time.perf_counter()
+    with pytest.raises(SystemExit) as err:
+        run(["converge", "--p", p, "--n", 3, "--l", 1, "--smax", 2])
+    assert err.value.code == 2
+    assert time.perf_counter() - start < 1.0
+    assert "not an odd prime" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["asympt", "--p", 3, "--s", 9, "--n", 3, "--l", 1],
+    ["asympt", "--p", 3, "--s", 12, "--n", 3, "--l", 1, "--series"],
+])
+def test_zone_requests_with_big_coefficients_are_refused_at_once(argv, monkeypatch, capsys):
+    # few indices, but truncation coefficients of about (n-1)M bits: --s 9 ran 84 s,
+    # then failed to write a 5,900-digit integer
+    def enumerate_nothing(*args):
+        raise AssertionError("enumerated past the desk guard")
+
+    monkeypatch.setattr(sparsepoly, "bounded_compositions", enumerate_nothing)
+    monkeypatch.setattr(asymptotic, "bounded_compositions", enumerate_nothing)
+    start = time.perf_counter()
+    with pytest.raises(SystemExit) as err:
+        run(argv)
     assert err.value.code == 2
     assert time.perf_counter() - start < 1.0
     assert "above the desk budget" in capsys.readouterr().err
@@ -552,3 +607,106 @@ def test_emit_writes_json_dumps_bytes(name, tmp_path):
     out = tmp_path / "artifact.json"
     cli.emit(artifact, str(out))
     assert out.read_bytes() == (_oracle(artifact) + "\n").encode()
+
+
+def request_cost(argv):
+    """The largest work the program checks against the desk budget for a request,
+    from the closed-form cost functions alone: nothing is built or enumerated."""
+    args = build_parser().parse_args([str(a) for a in argv])
+    if args.command in ("gen", "verify"):
+        if getattr(args, "infile", None):
+            return 0                            # the artifact carries its vector
+        inst = KZInstance(args.n, ModulusContext(args.p, args.s))
+        mvec = validate_mvec(inst, args.mvec and args.mvec.split(","))
+        r = args.r if args.r is not None else args.s
+        return slice_cost(mvec, args.l * args.p ** r - 1, 2 * args.n)
+    if args.command == "cartier":
+        p, n, g = args.p, args.n, (args.n - 1) // 2
+        cost = sum(slice_cost(((p - 1) // 2,) * n, j * p - i)
+                   for i in range(1, g + 1) for j in range(1, g + 1))
+        if args.verify:                         # the level-t solutions it lowers
+            t = args.t or 2
+            cost = max(cost, *(slice_cost(((p ** t - 1) // 2,) * n, l * p ** t - 1, 2 * n)
+                               for l in range(1, g + 1)))
+        return cost
+    if args.command == "asympt":
+        inst = KZInstance(args.n, ModulusContext(args.p, args.s))
+        cutoff = args.cutoff if args.cutoff is not None else inst.ctx.half
+        prec = args.prec if args.prec is not None else args.s + 8
+        try:
+            return zone_request_cost(inst, args.l, cutoff if args.series else None, prec)
+        except DeskEnvelopeError:               # the series' lower bound is already above
+            return float("inf")
+    if args.classic:
+        return 0
+    return convergence_cost(args.p, args.n, args.l, args.smax, args.samples or 50,
+                            args.prec or args.smax + 8)
+
+
+def _benchmark_requests():
+    """The requests the benchmark makes, from the literals in perfbench/workloads.py."""
+    tree = ast.parse((Path(__file__).parents[1] / "perfbench" / "workloads.py").read_text())
+    found = {target.id: ast.literal_eval(node.value) for node in ast.walk(tree)
+             if isinstance(node, ast.Assign) for target in node.targets
+             if isinstance(target, ast.Name)
+             and target.id in ("GRID", "GRADING", "CARTIER", "CONFIGS")}
+    out = []
+    for p, s, n in found["GRID"]:
+        for l in range(1, (n - 1) // 2 + 1):
+            out += [[cmd, "--p", p, "--s", s, "--n", n, "--l", l]
+                    for cmd in ("gen", "verify", "asympt")]
+    out += [["cartier", "--p", p, "--n", n, "--t", t, "--verify"] for p, n, t in found["GRADING"]]
+    out += [["cartier", "--p", p, "--n", n] for p, n in found["CARTIER"]]
+    out += [["converge", "--p", p, "--n", n, "--l", l, "--smax", smax, "--prec", prec]
+            for p, n, l, smax, prec in found["CONFIGS"]]
+    return out
+
+
+REFUSED = [                                     # the argv of every refusal test
+    ["gen", "--p", 5, "--s", 9, "--n", 5, "--l", 1],
+    ["gen", "--p", 5, "--s", 4, "--n", 5, "--l", 1],
+    ["cartier", "--p", 79, "--n", 5],
+    ["cartier", "--p", 83, "--n", 5],
+    ["cartier", "--p", 89, "--n", 5],
+    ["cartier", "--p", 23, "--n", 7],
+    ["cartier", "--p", 11, "--n", 9],
+    ["cartier", "--p", 97, "--n", 9],
+    ["asympt", "--p", 5, "--s", 4, "--n", 5, "--l", 1],
+    ["asympt", "--p", 7, "--s", 3, "--n", 5, "--l", 1],
+    ["asympt", "--p", 5, "--s", 1, "--n", 5, "--l", 1, "--series", "--cutoff", 400],
+    ["asympt", "--p", 5, "--s", 1, "--n", 5, "--l", 1, "--series", "--cutoff", 10 ** 12],
+    ["asympt", "--p", 3, "--s", 9, "--n", 3, "--l", 1],
+    ["asympt", "--p", 3, "--s", 12, "--n", 3, "--l", 1, "--series"],
+    ["converge", "--p", 5, "--n", 5, "--l", 1, "--smax", 2, "--samples", 10 ** 7],
+    ["converge", "--p", 5, "--n", 5, "--l", 1, "--smax", 2, "--samples", 10 ** 7, "--prec", 10],
+    ["converge", "--p", 5, "--n", 5, "--l", 1, "--smax", 300, "--prec", 308],
+    ["converge", "--p", 5, "--n", 3, "--l", 1, "--smax", 3, "--prec", 3000],
+]
+
+ADMITTED = [                                    # README examples and the runs tests make
+    ["gen", "--p", 5, "--s", 2, "--n", 3, "--l", 1],
+    ["verify", "--p", 5, "--s", 2, "--n", 3, "--l", 1],
+    ["verify", "--in", "sol.json"],
+    ["cartier", "--p", 5, "--n", 3, "--t", 2, "--verify"],
+    ["asympt", "--p", 5, "--s", 1, "--n", 3, "--l", 1, "--series"],
+    ["asympt", "--p", 3, "--s", 8, "--n", 3, "--l", 1],
+    ["converge", "--p", 5, "--n", 3, "--l", 1, "--smax", 4, "--samples", 50, "--seed", 0,
+     "--prec", 12],
+    ["converge", "--p", 5, "--n", 5, "--l", 2, "--smax", 2],
+    ["converge", "--p", 5, "--n", 5, "--l", 1, "--smax", 3, "--prec", 11],
+    ["converge", "--classic"],
+    *(["converge", "--p", p, "--n", n, "--l", l, "--smax", smax] for p, n, l, smax in [
+        (5, 5, 1, 4), (5, 5, 2, 4), (7, 5, 1, 3), (7, 5, 2, 3),
+        (7, 7, 1, 3), (7, 7, 2, 3), (7, 7, 3, 3), (5, 5, 1, 10), (7, 7, 2, 5), (5, 3, 1, 12)]),
+    *test_golden.COMMANDS.values(),
+    *_benchmark_requests(),
+]
+
+
+@pytest.mark.parametrize("argv,admitted", [(argv, False) for argv in REFUSED]
+                         + [(argv, True) for argv in ADMITTED],
+                         ids=lambda v: " ".join(map(str, v)) if isinstance(v, list) else None)
+def test_verdicts_by_cost_alone(argv, admitted):
+    # every request a test, golden pin, README example or benchmark workload makes
+    # keeps the verdict it had under the tuple and multiply-add limits
+    assert (request_cost(argv) <= DESK_LIMIT) == admitted

@@ -19,7 +19,6 @@ from kz_padic.asymptotic import (
     x_monomial,
 )
 from kz_padic.convergence import (
-    DESK_MULADD_LIMIT,
     check_bin_bound,
     check_xps_convergence,
     classic_partial_sums,
@@ -35,7 +34,7 @@ from kz_padic.convergence import (
 )
 from kz_padic.kz import KZInstance
 from kz_padic.padic import PAdic, PrecisionError, int_valuation
-from kz_padic.sparsepoly import DeskEnvelopeError, ModulusContext
+from kz_padic.sparsepoly import DESK_LIMIT, DeskEnvelopeError, ModulusContext
 
 GRID = [(5, 1, 3), (5, 2, 3), (5, 3, 3), (7, 1, 3), (7, 2, 3),
         (5, 1, 5), (5, 2, 5), (7, 1, 5)]
@@ -396,7 +395,7 @@ def test_desk_guard_refuses_before_sampling(monkeypatch):
         with pytest.raises(DeskEnvelopeError):
             run()
         assert time.perf_counter() - start < 1.0
-    assert convergence_cost(5, 5, 1, 4, 50, 12) < DESK_MULADD_LIMIT
+    assert convergence_cost(5, 5, 1, 4, 50, 12) < DESK_LIMIT
 
 
 def test_converge_t_n3_small():

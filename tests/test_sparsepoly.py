@@ -1,4 +1,5 @@
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -11,9 +12,11 @@ from kz_padic.sparsepoly import (
     PolyVector,
     VariableMismatch,
     bounded_compositions,
+    digits,
     poly_to_json,
     product_power_gradient,
     product_power_slice,
+    slice_cost,
     slice_size,
     vector_from_json,
     vector_to_json,
@@ -305,11 +308,36 @@ def test_slice_above_the_desk_limit_is_refused_before_enumerating(monkeypatch):
 
     monkeypatch.setattr(sparsepoly, "bounded_compositions", enumerate_nothing)
     caps = (24,) * 9
-    assert slice_size(caps, 100) > sparsepoly.DESK_TUPLE_LIMIT
-    with pytest.raises(DeskEnvelopeError, match="slice would enumerate"):
+    assert slice_cost(caps, 100) > sparsepoly.DESK_LIMIT
+    with pytest.raises(DeskEnvelopeError, match=r"slice at X\*\*100 would cost"):
         product_power_slice(caps, 100)
-    with pytest.raises(DeskEnvelopeError, match="slice would enumerate"):
+    with pytest.raises(DeskEnvelopeError, match=r"gradient at X\*\*100 would cost"):
         product_power_gradient(caps, 100, z_variables(9))
+
+
+def test_one_desk_budget_in_one_place():
+    # one limit, named only where it is checked, and one refusal path
+    texts = {path.name: path.read_text()
+             for path in Path(sparsepoly.__file__).parent.glob("*.py")}
+    raises = {name: text.count("raise DeskEnvelopeError") for name, text in texts.items()}
+    assert sum(raises.values()) == 1 and raises["sparsepoly.py"] == 1
+    assert [name for name, text in texts.items() if "DESK_LIMIT" in text] == ["sparsepoly.py"]
+    for gone in ("DESK_TUPLE_LIMIT", "DESK_MULADD_LIMIT", "_check_desk", "20_000"):
+        assert not any(gone in text for text in texts.values()), gone
+
+
+def test_slice_cost_weighs_tuples_by_coefficient_digits():
+    # caps (3, 3) at X**2: tuples (0,2), (1,1), (2,0) with |coefficient| at most
+    # binom(6, 2) = 15 < (4*6/2)**2, so one digit; a gradient walks 2n = 4 more times
+    assert slice_size((3, 3), 2) == 3
+    assert slice_cost((3, 3), 2) == 3 * 2 * (1 + 1)
+    assert slice_cost((3, 3), 2, 4) == 3 * 2 * (1 + 4)
+    # (M,)*3, M = 312: at X**(2M) the bound is 2**(3M), 32 digits; at X**(3M - 10),
+    # K = 10 and binom(3M, 10) < 2**(10 * (bitlen(93) + 2)) = 2**90, 3 digits
+    M = 312
+    assert slice_cost((M,) * 3, 2 * M) == slice_size((M,) * 3, 2 * M) * 3 * (32 + 1)
+    assert slice_cost((M,) * 3, 3 * M - 10) == slice_size((M,) * 3, 3 * M - 10) * 3 * (3 + 1)
+    assert digits(0) == digits(1) == digits(30) == 1 and digits(31) == 2
 
 
 def test_bounded_compositions_counts():
