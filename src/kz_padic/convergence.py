@@ -144,24 +144,17 @@ def check_bin_bound(p: int, l1: int, l2: int, a_max: int, s_values) -> Check:
 
 # -- zone sums by per-slot generating functions ---------------------------------------
 
-def _mul(a: list, b: list, m: int) -> list:
-    out = [0] * (len(a) + len(b) - 1)
-    width = len(b)
-    for i, c in enumerate(a):
-        if c:
-            out[i:i + width] = [o + c * d for o, d in zip(out[i:i + width], b)]
-    return [c % m for c in out]
-
-
-def _product(rows, m: int) -> list:
-    out = [1]
-    for row in rows:
-        out = _mul(out, row, m)
-    return out
+def _pack(row, bits: int, reverse: bool = False) -> int:
+    """A row as one int: coefficient e in field e of ``bits`` bits, or in
+    field len(row) - 1 - e when ``reverse``."""
+    packed = 0
+    for c in (row if reverse else reversed(row)):
+        packed = packed << bits | c
+    return packed
 
 
 def _product_muladds(caps) -> int:
-    """Multiply-adds of ``_product`` over rows of degrees ``caps``, in order."""
+    """Multiply-adds of a schoolbook product of rows of degrees ``caps``, in order."""
     total = 0
     degree = 0
     for cap in caps:
@@ -193,15 +186,13 @@ def _series_rows(p: int, l: int, N: int) -> tuple:
     return tuple([binom_half(l1, e, p, N).residue for e in range(top + 1)] for l1 in (0, 1))
 
 
-def _zone_values(n: int, l: int, rows: tuple, point, p: int, N: int) -> list:
-    """Residues mod p**N of the n component sums at a point of the zero disc.
+def _slot_rows(n: int, l: int, rows: tuple, point, p: int, N: int) -> tuple:
+    """The plain and distinguished slot rows at a point, and the slots' x.
 
     ``point`` holds x_2..x_{n-1}; ``rows`` the plain and distinguished
-    slot coefficients c(e) (``_truncation_rows`` or ``_series_rows``).  Row
-    i is sum_e c(e) x_i**e t**e, with x = 1 on the balance slot and cut
-    where x_i**e vanishes mod p**N; component j is the x_{j+1}-scaled
-    coefficient sum_r R(r) L(r + offset) of the block products (see the
-    module docstring).
+    slot coefficients c(e), residues mod p**N (``_truncation_rows`` or
+    ``_series_rows``).  Row i holds c(e) x_i**e mod p**N, with x = 1 on the
+    balance slot, and is cut where x_i**e vanishes mod p**N.
     """
     plain, special = rows
     m = p ** N
@@ -217,30 +208,90 @@ def _zone_values(n: int, l: int, rows: tuple, point, p: int, N: int) -> list:
     caps.insert(block - 1, min(top, sum(caps[block - 1:]) + l))
     xs.insert(block - 1, 1)
     plain_rows, special_rows = [], []
-    for x, cap in zip(xs, caps):
+    for i, (x, cap) in enumerate(zip(xs, caps)):
+        if i == block - 1:              # the balance slot: x = 1, the rows as they are
+            plain_rows.append(plain[:cap + 1])
+            special_rows.append(special[:cap + 1])
+            continue
         powers = [1]
         for _ in range(cap):
             powers.append(powers[-1] * x % m)
         plain_rows.append([c * w % m for c, w in zip(plain, powers)])
         special_rows.append([c * w % m for c, w in zip(special, powers)])
+    return plain_rows, special_rows, xs
 
-    def block_product(slots, j):
-        return _product([special_rows[i] if i == j - 1 else plain_rows[i]
-                         for i in slots], m)
 
-    left, right = range(block), range(block, n - 1)
-    L, R = block_product(left, 0), block_product(right, 0)
-    out = []
-    for j in range(1, n + 1):
-        if j <= block:
-            lhs, rhs, offset = block_product(left, j), R, l - 1
-        else:
-            lhs, rhs, offset = L, (block_product(right, j) if j < n else R), l
-        value = sum(c * d for c, d in zip(rhs, lhs[offset:]))
-        if j < block:
-            value *= xs[j - 1]
-        out.append(value % m)
+def _block_sums(block: int, l: int, plain_rows, special_rows, m: int) -> list:
+    """Component j's sum_r R(r) L(r + offset), j = 1..n, up to multiples of m.
+
+    The left block is the first ``block`` slots, the right one the rest; in
+    component j < n slot j - 1 takes its distinguished row.  At n = 3 each
+    block is one row and each component one dot product.  Above, each row
+    is packed into one int, the right block's reversed, so the product of
+    all n - 1 rows is L times R reversed about D, the right block's degree,
+    and its field D + offset is the inner product; no product is unpacked.
+    With prefix and suffix products of the plain rows, swapping in one
+    distinguished row costs two products.
+    """
+    if len(plain_rows) == 2:
+        (left, right), (left_j, right_j) = plain_rows, special_rows
+        return [sum(c * d for c, d in zip(right, left_j[l - 1:])),
+                sum(c * d for c, d in zip(right_j, left[l:])),
+                sum(c * d for c, d in zip(right, left[l:]))]
+    caps = [len(row) - 1 for row in plain_rows]
+    n = len(caps) + 1
+    D = sum(caps[block:])
+    top = D + l + 1                     # no inner product reads a field above D + l
+    # No carries: every product is folded below 'small', and a field of a
+    # product of two folded values sums at most top products below small**2.
+    # A fold at h replaces each field f by (f mod 2**h) + (f >> h) * (2**h mod m),
+    # congruent mod m; from a folded value times a row, each fold about
+    # halves the field's excess over b bits.
+    b = (m - 1).bit_length()
+    small = 1 << b + 4
+    bits = 8 * -(-(2 * (b + 4) + top.bit_length()) // 8)
+    keep = (1 << bits * top) - 1
+    ones = keep // ((1 << bits) - 1)
+    folds = []
+    bound = top * small * (m - 1)
+    while bound >= small:
+        h = (bound.bit_length() + b + 1) // 2
+        c = (1 << h) % m
+        folds.append((h, ((1 << h) - 1) * ones, ((1 << bits - h) - 1) * ones, c))
+        bound = min(bound, (1 << h) - 1) + (bound >> h) * c
+
+    def times(u, v):
+        x = u * v & keep
+        for h, lo, hi, c in folds:
+            x = (x & lo) + (x >> h & hi) * c
+        return x
+
+    plain = [_pack(row, bits, i >= block) for i, row in enumerate(plain_rows)]
+    special = [_pack(row, bits, i >= block) for i, row in enumerate(special_rows)]
+    prefix = [1]                        # prefix[k]: the rows before slot k
+    for row in plain[:-1]:
+        prefix.append(times(prefix[-1], row))
+    suffix = [1]                        # suffix[k]: slot k's row and those after it
+    for row in reversed(plain):
+        suffix.append(times(row, suffix[-1]))
+    suffix.reverse()
+    mask = (1 << bits) - 1
+    out = [times(prefix[k], special[k]) * suffix[k + 1] >> bits * (D + l - (k < block)) & mask
+           for k in range(n - 1)]
+    out.append(suffix[0] >> bits * (D + l) & mask)
     return out
+
+
+def _zone_values(n: int, l: int, rows: tuple, point, p: int, N: int) -> list:
+    """Residues mod p**N of the n component sums at a point of the zero disc:
+    component j is the x_{j+1}-scaled inner product of the block products of
+    the slot rows (see the module docstring)."""
+    m = p ** N
+    block = n - 2 * l
+    plain_rows, special_rows, xs = _slot_rows(n, l, rows, point, p, N)
+    sums = _block_sums(block, l, plain_rows, special_rows, m)
+    return [(value * xs[j - 1] if j < block else value) % m
+            for j, value in enumerate(sums, 1)]
 
 
 def _truncation_sums(n: int, l: int, M: int, points, p: int, N: int) -> list:
@@ -507,6 +558,22 @@ def disjoint_domain_probe(p: int, count: int, seed: int) -> Check:
 
 # -- the classical one-variable partial sums ----------------------------------------------
 
+def classic_cost(p: int, s: int) -> int:
+    """Work of level s of ``classic_partial_sums``, in desk units.
+
+    Each k <= M = (p**s - 1)/2 makes at most M + 10 big-int operations: the
+    k-step product in ``binom_half_fraction``, at most k/(p-1) divisions to
+    find v_p(k!), and about ten more (factorials, binomial, squares,
+    reductions, valuations).  None exceeds M (bitlen(M) + 1) bits, the bound
+    of k! and of the unreduced half-binomial numerator, or 6M bits, that of
+    the difference's numerator: binom(M, k)**2 (below 4**M) times 16**k.
+    One unit is 256 digit operations: a digit of a big-int operation takes
+    0.6-2.9 ns, the interpreted step of the other units 0.2-0.8 us.
+    """
+    M = (p ** s - 1) // 2
+    return (M + 1) * (M + 10) * digits(M * max(6, M.bit_length() + 1)) // 256
+
+
 def classic_partial_sums(p: int, s_values) -> Check:
     """Compare sum binom(-1/2,k)**2 z**k with sum binom(M,k)**2 z**k mod p**s.
 
@@ -518,6 +585,10 @@ def classic_partial_sums(p: int, s_values) -> Check:
     limit but is weaker than agreement mod p**s once k reaches p.
     """
     ModulusContext(p, 1)  # validates that p is an odd prime
+    cost = 0
+    for s in s_values:      # the running sum stops at the first level past the budget
+        cost += classic_cost(p, s)
+        desk_check(cost, f"classic comparison up to level {s}")
     rows = []
     for s in s_values:
         M = (p ** s - 1) // 2

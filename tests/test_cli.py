@@ -11,7 +11,7 @@ import test_golden
 from kz_padic import asymptotic, cli, sparsepoly
 from kz_padic.asymptotic import zone_request_cost
 from kz_padic.cli import build_parser, main
-from kz_padic.convergence import convergence_cost
+from kz_padic.convergence import classic_cost, convergence_cost
 from kz_padic.kz import KZInstance
 from kz_padic.solutions import validate_mvec
 from kz_padic.sparsepoly import DESK_LIMIT, DeskEnvelopeError, ModulusContext, slice_cost
@@ -638,7 +638,7 @@ def request_cost(argv):
         except DeskEnvelopeError:               # the series' lower bound is already above
             return float("inf")
     if args.classic:
-        return 0
+        return sum(classic_cost(args.p or 5, s) for s in range(1, (args.smax or 3) + 1))
     return convergence_cost(args.p, args.n, args.l, args.smax, args.samples or 50,
                             args.prec or args.smax + 8)
 
@@ -681,6 +681,8 @@ REFUSED = [                                     # the argv of every refusal test
     ["converge", "--p", 5, "--n", 5, "--l", 1, "--smax", 2, "--samples", 10 ** 7, "--prec", 10],
     ["converge", "--p", 5, "--n", 5, "--l", 1, "--smax", 300, "--prec", 308],
     ["converge", "--p", 5, "--n", 3, "--l", 1, "--smax", 3, "--prec", 3000],
+    ["converge", "--classic", "--p", 7, "--smax", 6],
+    ["converge", "--classic", "--p", 31, "--smax", 4],
 ]
 
 ADMITTED = [                                    # README examples and the runs tests make
@@ -695,6 +697,8 @@ ADMITTED = [                                    # README examples and the runs t
     ["converge", "--p", 5, "--n", 5, "--l", 2, "--smax", 2],
     ["converge", "--p", 5, "--n", 5, "--l", 1, "--smax", 3, "--prec", 11],
     ["converge", "--classic"],
+    ["converge", "--classic", "--p", 7, "--smax", 4],
+    ["converge", "--classic", "--p", 5, "--smax", 5],
     *(["converge", "--p", p, "--n", n, "--l", l, "--smax", smax] for p, n, l, smax in [
         (5, 5, 1, 4), (5, 5, 2, 4), (7, 5, 1, 3), (7, 5, 2, 3),
         (7, 7, 1, 3), (7, 7, 2, 3), (7, 7, 3, 3), (5, 5, 1, 10), (7, 7, 2, 5), (5, 3, 1, 12)]),
@@ -708,5 +712,6 @@ ADMITTED = [                                    # README examples and the runs t
                          ids=lambda v: " ".join(map(str, v)) if isinstance(v, list) else None)
 def test_verdicts_by_cost_alone(argv, admitted):
     # every request a test, golden pin, README example or benchmark workload makes
-    # keeps the verdict it had under the tuple and multiply-add limits
+    # keeps the verdict it had under the tuple and multiply-add limits; the two
+    # classic comparisons in REFUSED had no budget then and ran for minutes
     assert (request_cost(argv) <= DESK_LIMIT) == admitted

@@ -32,6 +32,7 @@ from kz_padic.convergence import (
     tail_floor,
     zone_muladds,
 )
+from kz_padic.cli import main
 from kz_padic.kz import KZInstance
 from kz_padic.padic import PAdic, PrecisionError, int_valuation
 from kz_padic.sparsepoly import DESK_LIMIT, DeskEnvelopeError, ModulusContext
@@ -358,28 +359,145 @@ def test_pruned_envelope_matches_index_walk(p, s, n, l):
                     == walk_envelope(p, s, n, l, cutoff, with_prefactor)), (cutoff, with_prefactor)
 
 
-@pytest.mark.parametrize("n,l", [(3, 1), (5, 1), (5, 2), (7, 1), (7, 2), (7, 3)])
+# -- the schoolbook oracle: block products by convolution, then inner products -------
+
+def _mul(a: list, b: list, m: int) -> list:
+    out = [0] * (len(a) + len(b) - 1)
+    width = len(b)
+    for i, c in enumerate(a):
+        if c:
+            out[i:i + width] = [o + c * d for o, d in zip(out[i:i + width], b)]
+    return [c % m for c in out]
+
+
+def _product(rows, m: int) -> list:
+    out = [1]
+    for row in rows:
+        out = _mul(out, row, m)
+    return out
+
+
+def schoolbook_block_sums(block, l, plain_rows, special_rows, m):
+    """Component j's sum_r R(r) L(r + offset), the block products convolved mod m."""
+    n = len(plain_rows) + 1
+
+    def block_product(slots, j):
+        return _product([special_rows[i] if i == j - 1 else plain_rows[i]
+                         for i in slots], m)
+
+    left, right = range(block), range(block, n - 1)
+    L, R = block_product(left, 0), block_product(right, 0)
+    out = []
+    for j in range(1, n + 1):
+        if j <= block:
+            lhs, rhs, offset = block_product(left, j), R, l - 1
+        else:
+            lhs, rhs, offset = L, (block_product(right, j) if j < n else R), l
+        out.append(sum(c * d for c, d in zip(rhs, lhs[offset:])))
+    return out
+
+
+def schoolbook_zone_values(n, l, rows, point, p, N):
+    m = p ** N
+    block = n - 2 * l
+    plain_rows, special_rows, xs = convergence._slot_rows(n, l, rows, point, p, N)
+    sums = schoolbook_block_sums(block, l, plain_rows, special_rows, m)
+    return [(value * xs[j - 1] if j < block else value) % m
+            for j, value in enumerate(sums, 1)]
+
+
+NL = [(3, 1), (5, 1), (5, 2), (7, 1), (7, 2), (7, 3)]
+
+
+@st.composite
+def slot_row_cases(draw):
+    """Slot rows of any length, random, with zeros, or all m - 1 (the most carries)."""
+    n, l = draw(st.sampled_from(NL))
+    p = draw(st.sampled_from([3, 5, 7]))
+    m = p ** draw(st.integers(1, 4))
+    fill = st.one_of(st.integers(0, m - 1), st.sampled_from([0, m - 1]))
+
+    def row(cap, entries):
+        return [draw(entries) for _ in range(cap + 1)]
+
+    plain_rows, special_rows = [], []
+    for _ in range(n - 1):
+        cap = draw(st.integers(0, 6))
+        entries = draw(st.sampled_from([fill, st.just(m - 1)]))
+        plain_rows.append(row(cap, entries))
+        special_rows.append(row(cap, entries))
+    return n - 2 * l, l, plain_rows, special_rows, m
+
+
+def _full_rows(n, l, caps, m):
+    rows = [[m - 1] * (cap + 1) for cap in caps]
+    return n - 2 * l, l, rows, [list(r) for r in rows], m
+
+
+WORST = [_full_rows(n, l, caps, m) for n, l in NL
+         for caps, m in (([4] * (n - 1), 7 ** 3), ([0] + [3] * (n - 2), 5 ** 2),
+                         ([6] * (n - 1), 3 ** 4), ([12] * (n - 1), 31 ** 13))]
+WORST += [_full_rows(n, l, [12] * (n - 1), 31 ** 13) for n, l in ((9, 1), (9, 4), (11, 2), (11, 5))]
+
+
+def assert_block_sums_agree(case):
+    # the packed sums are congruent mod m to the exact schoolbook ones: the
+    # schoolbook modulus exceeds every coefficient's bound
+    block, l, plain_rows, special_rows, m = case
+    exact = m ** len(plain_rows) * math.prod(len(r) for r in plain_rows) + 1
+    packed = convergence._block_sums(block, l, plain_rows, special_rows, m)
+    schoolbook = schoolbook_block_sums(block, l, plain_rows, special_rows, exact)
+    assert [v % m for v in packed] == [v % m for v in schoolbook]
+
+
+@pytest.mark.parametrize("case", WORST, ids=lambda c: f"n{len(c[2]) + 1}-l{c[1]}-m{c[4]}-"
+                         + ",".join(str(len(r) - 1) for r in c[2]))
+def test_packed_block_sums_carry_nothing_on_rows_of_m_minus_1(case):
+    # every coefficient of every product is as large as the rows allow, so a
+    # field narrower than its bound, or a fold too few, spills into the
+    # inner product's field; n = 3 takes dot products of the rows
+    assert_block_sums_agree(case)
+
+
+@settings(max_examples=300, deadline=None)
+@given(slot_row_cases())
+def test_packed_block_sums_match_schoolbook(case):
+    assert_block_sums_agree(case)
+
+
+@settings(max_examples=100, deadline=None)
+@given(zone_cases(), st.booleans())
+def test_zone_values_match_schoolbook(case, series):
+    p, s, n, l, N, point = case
+    rows = (convergence._series_rows(p, l, N) if series
+            else convergence._truncation_rows((p ** s - 1) // 2, l, p, N))
+    assert (convergence._zone_values(n, l, rows, point, p, N)
+            == schoolbook_zone_values(n, l, rows, point, p, N))
+
+
+@pytest.mark.parametrize("n,l", NL)
 def test_muladd_count_is_exact_at_valuation_one(monkeypatch, n, l):
+    # zone_muladds counts the schoolbook products that the packed ones replace
     p, N = 7, 9
     count = 0
-    mul = convergence._mul
+    mul = _mul
 
     def counted(a, b, m):
         nonlocal count
         count += len(a) * len(b)
         return mul(a, b, m)
 
-    monkeypatch.setattr(convergence, "_mul", counted)
+    monkeypatch.setitem(globals(), "_mul", counted)
     point = tuple(PAdic(p, N, p * (i + 2)) for i in range(n - 2))
     for M, rows in ((3, convergence._truncation_rows(3, l, p, N)),
                     (24, convergence._truncation_rows(24, l, p, N)),
                     (None, convergence._series_rows(p, l, N))):
         count = 0
-        convergence._zone_values(n, l, rows, point, p, N)
+        schoolbook_zone_values(n, l, rows, point, p, N)
         assert count == zone_muladds(n, l, len(rows[0]) - 1, N), M
     # a coordinate of higher valuation only shortens its row
     count = 0
-    convergence._zone_values(n, l, rows, (PAdic(p, N, p ** 3),) * (n - 2), p, N)
+    schoolbook_zone_values(n, l, rows, (PAdic(p, N, p ** 3),) * (n - 2), p, N)
     assert count < zone_muladds(n, l, len(rows[0]) - 1, N)
 
 
@@ -396,6 +514,23 @@ def test_desk_guard_refuses_before_sampling(monkeypatch):
             run()
         assert time.perf_counter() - start < 1.0
     assert convergence_cost(5, 5, 1, 4, 50, 12) < DESK_LIMIT
+
+
+@pytest.mark.parametrize("p,smax", [(7, 6), (31, 4)])
+def test_classic_desk_guard_refuses_before_the_first_k(monkeypatch, capsys, p, smax):
+    # both ran for minutes: every k <= (p**smax - 1)/2 builds its binomials exactly
+    def no_binomials(*args):
+        raise AssertionError("formed a coefficient before the desk guard")
+
+    monkeypatch.setattr(convergence, "binom_half_fraction", no_binomials)
+    start = time.perf_counter()
+    with pytest.raises(DeskEnvelopeError, match="classic comparison"):
+        classic_partial_sums(p, range(1, smax + 1))
+    with pytest.raises(SystemExit) as err:
+        main(["converge", "--classic", "--p", str(p), "--smax", str(smax)])
+    assert err.value.code == 2
+    assert time.perf_counter() - start < 1.0
+    assert "above the desk budget" in capsys.readouterr().err
 
 
 def test_converge_t_n3_small():
