@@ -373,16 +373,20 @@ def difference_envelope(p: int, s: int, n: int, l: int, cutoff: int,
 
 # -- convergence experiments ------------------------------------------------------------
 
-def _vector_val(diffs) -> int:
-    return min(d.norm_exponent() for d in diffs)
+def _vector_val(diffs, p: int, N: int) -> int:
+    """The least ``PAdic(p, N, d).norm_exponent()`` over the ints d of ``diffs``."""
+    return int_valuation(math.gcd(p ** N, *diffs), p)
 
 
-def _phase_row(s: int, phase: str, diffs_per_sample, bound: int, N: int) -> dict:
-    """Least valuation over the samples' difference vectors, against the bound.
+def _phase_row(s: int, phase: str, bound: int, p: int, N: int,
+               trunc_vals, series_vals, powers, scales) -> dict:
+    """Least valuation over the samples of power * truncation - scale * series,
+    on residues mod p**N, against the bound.
 
     The row is clamped when that valuation hit the precision floor N.
     """
-    vals = [_vector_val(diffs) for diffs in diffs_per_sample]
+    vals = [_vector_val([a * tv - b * sv for tv, sv in zip(tvals, svals)], p, N)
+            for a, b, tvals, svals in zip(powers, scales, trunc_vals, series_vals)]
     measured = min(vals)
     return {"s": s, "phase": phase, "measured_val": measured, "bound_val": bound,
             "bound_ok": all(v >= bound for v in vals), "clamped": measured >= N}
@@ -435,7 +439,8 @@ def converge_T_n3(p: int, s_max: int, count: int, seed: int, N: int) -> Check:
     points = [(u2,) for u2 in u2s]
     series_vals = _series_sums(3, 1, cutoff, points, p, N)
     const_series = series_constant_vector(p, 3, 1, N)
-    scales = [(u1 * hensel_sqrt(u1, 1)).inverse() for u1 in u1s]
+    scales = [(u1 * hensel_sqrt(u1, 1)).inverse().residue for u1 in u1s]
+    ones = [1] * count
 
     for s in range(1, s_max + 1):
         inst = KZInstance(3, ModulusContext(p, s))
@@ -444,20 +449,16 @@ def converge_T_n3(p: int, s_max: int, count: int, seed: int, N: int) -> Check:
         envelope = difference_envelope(p, s, 3, 1, cutoff, False)
 
         # truncation vs series, no prefactor
-        rows.append(_phase_row(s, "series-only", (
-            [PAdic(p, N, a - b) for a, b in zip(tvals, svals)]
-            for tvals, svals in zip(trunc_vals, series_vals)), envelope, N))
+        rows.append(_phase_row(s, "series-only", envelope, p, N,
+                               trunc_vals, series_vals, ones, ones))
 
-        # constant-term distance (exactly p**-s)
-        cvec = constant_vector(inst, 1)
-        cdiff = [PAdic(p, N, c) - sc for c, sc in zip(cvec, const_series)]
-        constant_term_vals[str(s)] = _vector_val(cdiff)  # str keys fix the artifact's order
+        # constant-term distance (exactly p**-s); str keys fix the artifact's order
+        constant_term_vals[str(s)] = _vector_val(
+            [c - sc.residue for c, sc in zip(constant_vector(inst, 1), const_series)], p, N)
 
         # with prefactor: u1**((p**s - 3)/2) T vs u1**(-3/2) T-series
-        rows.append(_phase_row(s, "with-prefactor", (
-            [u1 ** (M - 1) * tv - rhs_scale * sv for tv, sv in zip(tvals, svals)]
-            for u1, rhs_scale, tvals, svals in zip(u1s, scales, trunc_vals, series_vals)),
-            min(envelope, s + 1), N))
+        rows.append(_phase_row(s, "with-prefactor", min(envelope, s + 1), p, N, trunc_vals,
+                               series_vals, [pow(u.residue, M - 1, p ** N) for u in u1s], scales))
 
     check = _settle(rows, p=p, n=3, l=1, seed=seed, samples=count, precision=N,
                     constant_term_vals=constant_term_vals, notes=[])
@@ -481,16 +482,14 @@ def converge_Q_general(p: int, n: int, l: int, s_max: int, count: int, seed: int
 
     cutoff = max((p ** s_max - 1) // 2, N)  # discarded tail sits below precision
     series_vals = _series_sums(n, l, cutoff, points, p, N)
-    scales = [hensel_sqrt(x1, 1).inverse() for x1 in x1s]
+    scales = [hensel_sqrt(x1, 1).inverse().residue for x1 in x1s]
 
     for s in range(1, s_max + 1):
         M = (p ** s - 1) // 2
         trunc_vals = _truncation_sums(n, l, M, points, p, N)
         bound = difference_envelope(p, s, n, l, cutoff, True)
-        rows.append(_phase_row(s, "J-form", (
-            [x1 ** M * tv - rhs_scale * sv for tv, sv in zip(tvals, svals)]
-            for x1, rhs_scale, tvals, svals in zip(x1s, scales, trunc_vals, series_vals)),
-            bound, N))
+        rows.append(_phase_row(s, "J-form", bound, p, N, trunc_vals, series_vals,
+                               [pow(x1.residue, M, p ** N) for x1 in x1s], scales))
 
     return _settle(rows, p=p, n=n, l=l, seed=seed, samples=count, precision=N,
                    constant_term_vals={}, notes=[])
@@ -502,10 +501,13 @@ def disjoint_domain_probe(p: int, count: int, seed: int) -> Check:
     """Membership predicates of the two n=5 convergence domains never overlap.
 
     Points are sampled with valuations in [-2, 2] per coordinate.  The first
-    domain needs u_1**3 u_2**2 u_3 to be a unit while u_3 sits in the zero
-    disc; the second needs u_1 a unit with u_2 in the zero disc.  Jointly
-    they would force val(u_3) = -2 val(u_2) <= -2 and val(u_3) >= 1 at once.
-    A pass needs points in both domains and none in their intersection.
+    domain needs u_1**3 u_2**2 u_3 to be a unit square while u_3 sits in the
+    zero disc; the second needs u_1 a unit square with u_2 in the zero disc.
+    Jointly they would force val(u_3) = -2 val(u_2) <= -2 and val(u_3) >= 1
+    at once.  A pass needs points in both domains and none in their
+    intersection.  The domains read each unit a_i only through its Legendre
+    symbol chi(a_i), and u_2 enters squared, so they need chi(a_1) chi(a_3)
+    = 1 and chi(a_1) = 1: a coordinate is kept as its valuation and chi.
 
     Stream contract: a coordinate is val = randrange(-2, 3) and
     unit = randrange(1, p**4), redrawn while p | unit, from
@@ -518,37 +520,35 @@ def disjoint_domain_probe(p: int, count: int, seed: int) -> Check:
     if count < 1:
         raise ValueError(f"need count >= 1, got {count}: the probe would pass vacuously")
     bits = random.Random(seed).getrandbits
-    squares = {a for a in range(1, p) if legendre(a, p) == 1}
+    # chi[r % p] is the Legendre symbol of the unit r + 1; 0 marks p | r + 1
+    chi = [legendre(r + 1, p) for r in range(p)]
     unit_width = p ** 4 - 1
     unit_bits = unit_width.bit_length()
-
-    def sample_coord():
-        val = bits(3)
-        while val >= 5:
-            val = bits(3)
-        # randrange's redraw (r >= width) and the p | unit redraw each take
-        # one fresh draw of the same width, so one loop serves both
-        r = bits(unit_bits)
-        while r >= unit_width or (r + 1) % p == 0:
-            r = bits(unit_bits)
-        return val - 2, r + 1
-
-    def in_unit_disc(val, unit):
-        return val == 0 and (unit % p) in squares
-
     first = second = both = 0
-    for _ in range(count):
-        coords = [sample_coord() for _ in range(4)]
-        (v1, a1), (v2, a2), (v3, a3), (v4, a4) = coords
-        x1_val = 3 * v1 + 2 * v2 + v3
-        x1_unit = (a1 ** 3 * a2 ** 2 * a3) % p
-        p1 = (x1_val == 0 and x1_unit in squares
-              and v2 + v3 >= 1 and v3 >= 1 and v4 >= 1)
-        p2 = (in_unit_disc(v1, a1)
-              and v2 >= 1 and v2 + v3 >= 1 and v2 + v3 + v4 >= 1)
-        first += p1
-        second += p2
-        both += p1 and p2
+    for start in range(0, count, 256):      # bounded chunks of points
+        draws = []                          # val + 2 and chi, coordinate after coordinate
+        put = draws.append
+        for _ in range(4 * min(256, count - start)):
+            w = bits(3)
+            while w >= 5:
+                w = bits(3)
+            # randrange's redraw (r >= width) and the p | unit redraw each take
+            # one fresh draw of the same width, so one loop serves both
+            r = bits(unit_bits)
+            while r >= unit_width or not (c := chi[r % p]):
+                r = bits(unit_bits)
+            put(w)
+            put(c)
+        # w = val + 2: val(u1**3 u2**2 u3) = 0 is 3 w1 + 2 w2 + w3 = 12, val >= 1
+        # is w >= 3, and a sum of k valuations >= 1 is a sum of w >= 2k + 1
+        for w1, c1, w2, _, w3, c3, w4, _ in zip(*[iter(draws)] * 8):
+            p1 = (w3 >= 3 and w4 >= 3 and w2 + w3 >= 5
+                  and 3 * w1 + 2 * w2 + w3 == 12 and c1 == c3)
+            p2 = (w1 == 2 and c1 == 1 and w2 >= 3
+                  and w2 + w3 >= 5 and w2 + w3 + w4 >= 7)
+            first += p1
+            second += p2
+            both += p1 and p2
     reason = ("first domain forces val(u2^2 u3) = 0 with val(u1) = 0, "
               "second forces val(u2) >= 1, hence val(u3) <= -2, "
               "contradicting val(u3) >= 1 in the first")
@@ -559,16 +559,14 @@ def disjoint_domain_probe(p: int, count: int, seed: int) -> Check:
 # -- the classical one-variable partial sums ----------------------------------------------
 
 def classic_cost(p: int, s: int) -> int:
-    """Work of level s of ``classic_partial_sums``, in desk units.
+    """Work of level s of ``classic_partial_sums``, in desk units: a conservative bound.
 
-    Each k <= M = (p**s - 1)/2 makes at most M + 10 big-int operations: the
-    k-step product in ``binom_half_fraction``, at most k/(p-1) divisions to
-    find v_p(k!), and about ten more (factorials, binomial, squares,
-    reductions, valuations).  None exceeds M (bitlen(M) + 1) bits, the bound
-    of k! and of the unreduced half-binomial numerator, or 6M bits, that of
-    the difference's numerator: binom(M, k)**2 (below 4**M) times 16**k.
-    One unit is 256 digit operations: a digit of a big-int operation takes
-    0.6-2.9 ns, the interpreted step of the other units 0.2-0.8 us.
+    It counts M + 10 big-int operations for each k <= M = (p**s - 1)/2 on
+    integers of at most max(6M, M (bitlen(M) + 1)) bits, the cost of a level
+    when each k rebuilt binom(-1/2, k) and k!; with running products a k
+    makes about ten operations on integers below 4**M.  One unit is 256
+    digit operations: a digit of a big-int operation takes 0.6-2.9 ns, the
+    interpreted step of the other units 0.2-0.8 us.
     """
     M = (p ** s - 1) // 2
     return (M + 1) * (M + 10) * digits(M * max(6, M.bit_length() + 1)) // 256
@@ -595,17 +593,19 @@ def classic_partial_sums(p: int, s_values) -> Check:
         mod = p ** s
         mismatches = []
         refined = True
+        # binom(2k, k), binom(M, k) and v_p(k!) as running products in k, since
+        # binom(-1/2, k)**2 = binom(2k, k)**2 / 16**k
+        central, binom, fact_val = 1, 1, 0
         for k in range(M + 1):
-            half_sq = binom_half_fraction(0, k) ** 2
-            int_sq = math.comb(M, k) ** 2
-            lhs = PAdic.from_fraction(half_sq, p, s).residue
-            rhs = int_sq % mod
+            lhs = (central % mod) ** 2 * pow(16, -k, mod) % mod
+            rhs = (binom % mod) ** 2 % mod
             if lhs != rhs:
                 mismatches.append([k, str(lhs), str(rhs)])
-            dval = fraction_valuation(half_sq - int_sq, p)
-            need = s - (int_valuation(math.factorial(k), p) or 0)
-            if dval is not None and dval < need:
-                refined = False
+            # the difference's valuation reaches s - v_p(k!) <= s iff it does mod p**s
+            refined = refined and (fact_val >= s or (lhs - rhs) % p ** (s - fact_val) == 0)
+            central = central * (4 * k + 2) // (k + 1)
+            binom = binom * (M - k) // (k + 1)
+            fact_val += int_valuation(k + 1, p)
         rows.append({"s": s, "coefficientwise_equal": not mismatches,
                      "mismatches": mismatches, "refined_ok": refined})
     if not rows:

@@ -586,6 +586,29 @@ def test_zero_point_reduces_to_constant_term():
     assert min(d.norm_exponent() for d in diffs) == s
 
 
+def _norm_cases(p, N):
+    m = p ** N
+    for k in range(N + 3):
+        for unit in (1, 2, p - 1, p + 1, -1, -p - 1):
+            for lift in (-2, 0, 1):     # the same residue, negative or past p**N
+                yield unit * p ** k + lift * m
+    yield from (0, m, -m, 3 * m)
+
+
+@pytest.mark.parametrize("p, N", [(3, 4), (5, 6), (7, 2), (257, 3)])
+def test_phase_row_norm_exponent_matches_padic(p, N):
+    # the phase rows read each difference as an unreduced int mod p**N
+    for x in _norm_cases(p, N):
+        assert convergence._vector_val([x], p, N) == PAdic(p, N, x).norm_exponent(), x
+
+
+@given(st.sampled_from([3, 5, 7]), st.integers(1, 6),
+       st.lists(st.integers(-10 ** 12, 10 ** 12), min_size=1, max_size=5))
+def test_phase_row_vector_norm_is_least_entry_norm(p, N, diffs):
+    assert convergence._vector_val(diffs, p, N) == \
+        min(PAdic(p, N, d).norm_exponent() for d in diffs)
+
+
 def test_converge_q_small_n5():
     for l in (1, 2):
         report = converge_Q_general(5, 5, l, 2, 8, 0, 8)
@@ -640,10 +663,12 @@ def _randrange_probe_counts(p, count, seed):
 
 
 @pytest.mark.parametrize("seed", [0, 1, 7, 101])
-@pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
+@pytest.mark.parametrize("p", [3, 5, 7, 11, 13, 17, 257])
 def test_disjoint_probe_follows_the_randrange_stream(p, seed):
     # the probe draws from getrandbits by randrange's rule, so its counts
-    # are those of the randrange sampler, point for point
+    # are those of the randrange sampler, point for point; at p = 257 a unit
+    # draw is 33 bits wide and so spans two Mersenne Twister words
+    assert p != 257 or (p ** 4 - 1).bit_length() == 33
     for count in (1, 17, 10_000):
         report = disjoint_domain_probe(p, count, seed)
         assert (report.in_first, report.in_second, report.in_both) == \
@@ -662,6 +687,33 @@ def test_disjoint_probe_fails_with_an_empty_domain(seed):
     report = disjoint_domain_probe(5, 1, seed)
     assert report.in_first == 0 or report.in_second == 0
     assert not report.passed
+
+
+def _classic_row_oracle(p, s):
+    """Level s of ``classic_partial_sums`` with every binomial and k! rebuilt
+    exactly at each k, as Fractions."""
+    M = (p ** s - 1) // 2
+    mismatches = []
+    refined = True
+    for k in range(M + 1):
+        half_sq = Fraction(math.prod(range(1, 2 * k, 2)), (-2) ** k * math.factorial(k)) ** 2
+        int_sq = math.comb(M, k) ** 2
+        lhs = PAdic.from_fraction(half_sq, p, s).residue
+        rhs = int_sq % p ** s
+        if lhs != rhs:
+            mismatches.append([k, str(lhs), str(rhs)])
+        diff = half_sq - int_sq
+        if diff and (int_valuation(diff.numerator, p)
+                     < s - (int_valuation(math.factorial(k), p) or 0)):
+            refined = False
+    return {"s": s, "coefficientwise_equal": not mismatches,
+            "mismatches": mismatches, "refined_ok": refined}
+
+
+@pytest.mark.parametrize("p, smax", [(3, 5), (5, 3), (7, 3), (11, 2), (13, 2)])
+def test_classic_running_products_match_exact_binomials(p, smax):
+    report = classic_partial_sums(p, range(1, smax + 1))
+    assert report.rows == [_classic_row_oracle(p, s) for s in range(1, smax + 1)]
 
 
 def test_classic_partial_sums_reality():
