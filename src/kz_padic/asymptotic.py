@@ -294,21 +294,19 @@ def series_indices(n: int, l: int, cutoff: int):
     """Indices whose visible monomial degree is at most the cutoff.
 
     The balance slot (position n-2l) never appears in the monomials, and the
-    constraint determines it from the visible slots per class, so enumerating
-    visible tuples of bounded total degree yields exactly the terms a series
-    truncated at that degree can contain.
+    constraint determines it from the visible slots per class: with F and S
+    the sums of the visible slots before and after it, offset o in {l-1, l}
+    gives balance S + o - F.  So the slots after it are walked first, and
+    only the slots before it with F <= S + o and F + S <= cutoff are formed.
     """
     block = n - 2 * l
-    caps = (cutoff,) * (n - 2)
-    for total in range(0, cutoff + 1):
-        for visible in bounded_compositions(total, caps):
-            first = visible[: block - 1]
-            second = visible[block - 1:]
-            for offset in (l - 1, l):
-                balance = sum(second) + offset - sum(first)
-                if balance < 0:
-                    continue
-                yield first + (balance,) + second
+    for total in range(cutoff + 1):
+        seconds = list(bounded_compositions(total, (cutoff,) * (2 * l - 1)))
+        for offset in (l - 1, l):
+            for f in range(min(total + offset, cutoff - total) + 1):
+                for first in bounded_compositions(f, (cutoff,) * (block - 1)):
+                    for second in seconds:
+                        yield first + (total + offset - f,) + second
 
 
 def _zone_vectors(n: int, l: int, indices, plain, special):

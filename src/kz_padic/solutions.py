@@ -231,27 +231,13 @@ def leading_vector_of(vec: PolyVector) -> tuple:
 def is_quasi_constant(f: Polynomial, p: int, r: int) -> bool:
     """True iff every partial derivative of f lies in p**r Z[z].
 
-    Checked two ways: directly on the derivatives, and through the monomial
-    span criterion (a term c*z**d qualifies iff p**(r-t) | c where t is the
-    largest t <= r with p**t dividing every exponent).  The two must agree.
-    Level r = 0 is trivially true (everything vanishes mod 1).
+    Read per term: d/dz_i sends the terms c*z**d with d_i != 0 to distinct
+    monomials, so the criterion is p**r | c*d_i for every term and every i
+    (at r = 0 always true).  The derivative and monomial-span criteria are
+    the oracles of ``tests/test_solutions.py``.
     """
-    if r == 0:
-        return True
     mod = p ** r
-    by_derivative = all(
-        f.diff_index(i).reduce_mod(mod).is_zero() for i in range(len(f.vars))
-    )
-    by_span = True
-    for mono, coeff in f.terms.items():
-        gcd_val = min((int_valuation(e, p) for e in mono if e), default=None)
-        t = r if gcd_val is None else min(r, gcd_val)
-        if coeff % p ** (r - t):
-            by_span = False
-            break
-    if by_derivative != by_span:
-        raise AssertionError("quasi-constant criteria disagree")
-    return by_span
+    return all(c * e % mod == 0 for mono, c in f.terms.items() for e in mono)
 
 
 @dataclass

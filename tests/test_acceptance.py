@@ -122,7 +122,7 @@ def test_criterion_3_general_exponents_and_valuations():
     for q in (3, 5, 7):
         for sv in (1, 2, 3):
             for a in range(1, q ** sv + 1):
-                if binom_prime_power_valuation(q, sv, a) != sv - int_valuation(a, q):
+                if binom_prime_power_valuation(q, sv, a) != int_valuation(math.comb(q ** sv, a), q):
                     ok = False
             for r in range(sv):
                 for m in (1, 2, 3, 4):

@@ -41,6 +41,7 @@ from kz_padic.sparsepoly import (
     ModulusContext,
     Polynomial,
     PolyVector,
+    bounded_compositions,
     digits,
     slice_cost,
     u_variables,
@@ -244,10 +245,24 @@ def test_limit_series_small_values():
     assert a2[2] == PAdic.from_fraction(Fraction(3, 8) * Fraction(-1, 2), 5, 8)
 
 
-@pytest.mark.parametrize("n,l", [(3, 1), (5, 1), (5, 2), (7, 1), (7, 2), (7, 3)])
+def filtered_series_indices(n, l, cutoff):
+    """Oracle: every visible tuple of degree <= cutoff, per offset, kept when its balance is >= 0."""
+    block = n - 2 * l
+    for total in range(cutoff + 1):
+        for visible in bounded_compositions(total, (cutoff,) * (n - 2)):
+            first, second = visible[:block - 1], visible[block - 1:]
+            for offset in (l - 1, l):
+                balance = sum(second) + offset - sum(first)
+                if balance >= 0:
+                    yield first + (balance,) + second
+
+
+@pytest.mark.parametrize("n,l", [(3, 1), (5, 1), (5, 2), (7, 1), (7, 2), (7, 3), (9, 1), (9, 4)])
 def test_series_index_count_matches_the_walk(n, l):
     for cutoff in (0, 1, 2, 5, 9):
-        assert series_index_count(n, l, cutoff) == sum(1 for _ in series_indices(n, l, cutoff))
+        walked = list(series_indices(n, l, cutoff))
+        assert series_index_count(n, l, cutoff) == len(walked) == len(set(walked))
+        assert set(walked) == set(filtered_series_indices(n, l, cutoff))
 
 
 def test_zone_request_size_sums_every_part():

@@ -137,11 +137,12 @@ def test_binom_prime_power_valuation():
 
 
 def test_binom_prime_power_valuation_full_grids():
+    # the closed form against the factorization of the exact binomial
     for p in (3, 5, 7):
         for s in (1, 2, 3):
             for a in range(1, p ** s + 1):
                 v = binom_prime_power_valuation(p, s, a)
-                assert v == s - int_valuation(a, p)
+                assert v == int_valuation(math.comb(p ** s, a), p)
 
 
 def test_binom_shift_valuation_examples():

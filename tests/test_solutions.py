@@ -2,9 +2,12 @@ import random
 import warnings
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from kz_padic import solutions
+from kz_padic import asymptotic, solutions
+from kz_padic.asymptotic import translation_membership
 from kz_padic.kz import KZInstance, verify_solution
+from kz_padic.padic import int_valuation
 from kz_padic.solutions import (
     QuasiConstantError,
     coefficient_vector,
@@ -158,16 +161,94 @@ def test_quasi_constants():
     assert is_quasi_constant(Polynomial.constant(3, zv), 5, 3)
 
 
+def quasi_constant_by_derivative(f, p, r):
+    """Oracle: every partial derivative of f vanishes mod p**r (at r = 0, mod 1)."""
+    return r == 0 or all(f.diff_index(i).reduce_mod(p ** r).is_zero() for i in range(len(f.vars)))
+
+
+def quasi_constant_by_span(f, p, r):
+    """Oracle: p**(r-t) | c for each term c*z**d, with t the largest t <= r
+    such that p**t divides every exponent of d."""
+    for mono, coeff in f.terms.items():
+        gcd_val = min((int_valuation(e, p) for e in mono if e), default=None)
+        t = r if gcd_val is None else min(r, gcd_val)
+        if coeff % p ** (r - t):
+            return False
+    return True
+
+
+ORACLES = [quasi_constant_by_derivative, quasi_constant_by_span]
+
+
 def test_quasi_constant_random_agreement():
-    # both criteria run inside is_quasi_constant and must agree
+    # the termwise criterion against both oracles, on negative exponents, the
+    # zero polynomial, constants and level r = 0 among them
     rng = random.Random(9)
     zv = z_variables(3)
+    exps = (-25, -5, -1, 0, 1, 5, 25)
+    polys = [Polynomial.zero(zv), Polynomial.constant(7, zv), Polynomial.constant(-50, zv)]
     for _ in range(200):
-        terms = {
-            tuple(rng.choice((0, 1, 5, 25)) for _ in range(3)): rng.randrange(-50, 50)
-            for _ in range(4)
-        }
-        is_quasi_constant(Polynomial(zv, terms), 5, rng.randrange(0, 3))
+        polys.append(Polynomial(zv, {
+            tuple(rng.choice(exps) for _ in range(3)): rng.randrange(-50, 50) for _ in range(4)
+        }))
+    verdicts = set()
+    for f in polys:
+        for r in range(4):
+            got = is_quasi_constant(f, 5, r)
+            assert got == quasi_constant_by_derivative(f, 5, r) == quasi_constant_by_span(f, 5, r)
+            verdicts.add((r, got))
+    assert verdicts == {(0, True), (1, True), (1, False), (2, True), (2, False),
+                        (3, True), (3, False)}
+
+
+@st.composite
+def laurent_cases(draw):
+    """A prime, a level and a Laurent polynomial whose exponents and coefficients
+    carry p-powers, so both verdicts occur at every level r >= 1."""
+    p = draw(st.sampled_from((3, 5, 7)))
+    r = draw(st.integers(0, 3))
+    scaled = st.sampled_from(sorted({m * p ** k for m in range(-4, 5) for k in range(4)}))
+    terms = draw(st.dictionaries(st.tuples(scaled, scaled, scaled), scaled, max_size=5))
+    return p, r, Polynomial(z_variables(3), terms)
+
+
+@settings(max_examples=300, deadline=None)
+@given(laurent_cases())
+@example((5, 0, Polynomial.zero(z_variables(3))))
+@example((5, 2, Polynomial.constant(3, z_variables(3))))
+@example((5, 2, Polynomial(z_variables(3), {(-5, 25, 0): 5})))
+@example((5, 2, Polynomial(z_variables(3), {(-5, 25, 0): 1})))
+def test_termwise_quasi_constance_equals_both_oracles(case):
+    p, r, f = case
+    assert is_quasi_constant(f, p, r) == quasi_constant_by_derivative(f, p, r) == \
+        quasi_constant_by_span(f, p, r)
+
+
+def _module_reports():
+    """The reports of the four quasi-constant callers on the inputs their tests use."""
+    inst = make(5, 2, 3)
+    z1 = Polynomial.variable("z1", inst.zvars)
+    reports = []
+    for coeffs in ({(2, 1): 1}, {(1, 1): 1}, {(2, 1): z1 ** 25}, {(2, 1): z1}):
+        try:
+            reports.append(module_element(inst, coeffs))
+        except QuasiConstantError as err:
+            reports.append(str(err))
+    shifts = [(make(5, 1, 3), 1, 1, 1)] + [(inst, j, l, r) for j, l, r in
+                                            [(1, 1, 2), (2, 1, 1), (3, 1, 2), (2, 1, 2)]]
+    reports += [verify_shift_relation(i, None, j, l, r) for i, j, l, r in shifts]
+    reports += [express_in_shifted_family(inst, None, j, 1, r) for r in (1, 2) for j in (1, 2)]
+    reports += [translation_membership(make(p, s, 3), 1) for p, s in [(5, 1), (5, 2), (7, 1)]]
+    return reports
+
+
+def test_module_reports_are_the_same_under_either_oracle(monkeypatch):
+    expected = _module_reports()
+    assert sum(isinstance(r, str) for r in expected) == 1     # one coefficient refused
+    for oracle in ORACLES:
+        monkeypatch.setattr(solutions, "is_quasi_constant", oracle)
+        monkeypatch.setattr(asymptotic, "is_quasi_constant", oracle)
+        assert _module_reports() == expected
 
 
 def test_module_element_identity_coefficient():
