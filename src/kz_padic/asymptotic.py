@@ -15,18 +15,20 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import accumulate
+from itertools import accumulate, groupby, repeat
 
 from .kz import Check, KZInstance, failure_site
 from .padic import PAdic, binom_half, int_valuation
 from .sparsepoly import (
     Polynomial,
     PolyVector,
+    binomial_row,
     bounded_compositions,
     desk_check,
     digits,
     product_power_gradient,
     product_power_slice,
+    row_products,
     slice_cost,
     slice_size,
     u_variables,
@@ -310,32 +312,22 @@ def series_indices(n: int, l: int, cutoff: int):
 
 
 def _zone_vectors(n: int, l: int, indices, plain, special):
-    """Yield (a, vector) per index: the one coefficient rule of the zone families.
+    """Yield (a, vector) per index: component j < n of a's class multiplies special[a_j]
+    with plain[a_i] for i != j, component n takes the plain product, the others are 0.
 
-    Component j < n of a's class multiplies special[a_j] with plain[a_i] for
-    i != j; component n takes the plain product; the other components are 0.
-    The rows are indexed by exponent.  A row entry may be 0 or a non-unit, so
-    each product is a prefix times a suffix of the plain factors, never a
-    quotient.  An index off both hyperplanes raises AssertionError.
+    One row per kind serves every slot; ``row_products`` forms the products over each
+    run of indices of one class.  An index off both hyperplanes raises AssertionError.
     """
-    for a in indices:
-        tag = index_class(n, l, a)
+    plain, special, zero = (plain,) * (n - 1), (special,) * (n - 1), repeat(0)
+    for tag, run in groupby(indices, lambda a: index_class(n, l, a)):
         if tag is None:
-            raise AssertionError(f"enumerated index {a} violates its constraint")
+            raise AssertionError(f"enumerated index {next(run)} violates its constraint")
         comps = components_of_class(n, l, tag)
-        vec = [0] * n
-        prefix = 1                      # forward: the plain factors before slot i
-        for i, e in enumerate(a):
-            if i + 1 in comps:
-                vec[i] = prefix * special[e]
-            prefix *= plain[e]
-        if n in comps:
-            vec[n - 1] = prefix
-        suffix = 1                      # backward: the plain factors after slot i
-        for i in range(n - 2, comps.start - 2, -1):
-            vec[i] *= suffix
-            suffix *= plain[a[i]]
-        yield a, vec
+        live = range(comps.start - 1, min(comps.stop, n) - 1)      # the slots of j < n
+        for chunk, whole, entries in row_products(run, plain, special, live):
+            columns = ([zero] * live.start + entries + [zero] * (n - 1 - live.stop)
+                       + [whole if n in comps else zero])
+            yield from zip(chunk, zip(*columns))
 
 
 def truncated_expansion(inst: KZInstance, l: int) -> SeriesTruncation:
@@ -347,9 +339,8 @@ def truncated_expansion(inst: KZInstance, l: int) -> SeriesTruncation:
     n, M = inst.n, inst.ctx.half
     check_index(n, l)
     desk_check(zone_request_cost(inst, l), "truncation")    # with the slices it pairs with
-    plain = [math.comb(M, e) for e in range(M + 1)]
-    special = [math.comb(M - 1, e) for e in range(M + 1)]
-    coeffs = {a: tuple(vec) for a, vec in
+    plain, special = binomial_row(M, 0, M), binomial_row(M - 1, 0, M)
+    coeffs = {a: vec for a, vec in
               _zone_vectors(n, l, _truncated_index_iter(n, l, M), plain, special) if any(vec)}
     return SeriesTruncation(n, l, "truncated", inst.ctx.p, None, None, coeffs)
 

@@ -15,6 +15,7 @@ import itertools
 import json
 import operator
 import sys
+import warnings
 
 from .asymptotic import (
     constant_vector,
@@ -34,7 +35,7 @@ from .convergence import (
 )
 from .kz import KZInstance, verify_solution
 from .solutions import extract_solution, validate_mvec
-from .sparsepoly import ModulusContext, desk_check, vector_from_json
+from .sparsepoly import ModulusContext, coefficient_bits, desk_check, vector_from_json
 
 SCHEMA = "kz-padic/1"
 
@@ -64,9 +65,19 @@ def _instance(args) -> KZInstance:
 
 
 def _extract(args):
-    """The instance and the solution record named by --p --s --n --l [--r --mvec]."""
+    """The instance and the solution record named by --p --s --n --l [--r --mvec]; refused
+    before extraction if a coefficient could pass Python's integer string limit."""
     inst = _instance(args)
-    record = extract_solution(inst, args.mvec and args.mvec.split(","), args.l, args.r)
+    mvec = validate_mvec(inst, args.mvec and args.mvec.split(","))
+    r = inst.ctx.s if args.r is None else args.r
+    bits = coefficient_bits(mvec, args.l * inst.ctx.level(r).modulus - 1)
+    width, limit = bits * 30103 // 100000 + 1, getattr(sys, "get_int_max_str_digits", int)()
+    if 0 < limit < width:               # decimal digits below 2**bits; limit 0: none
+        raise ValueError(f"coefficients of up to {width} digits would pass Python's integer "
+                         f"string limit of {limit} digits (sys.set_int_max_str_digits)")
+    with warnings.catch_warnings():     # the zero vector is refused below
+        warnings.filterwarnings("ignore", "index l=", UserWarning)
+        record = extract_solution(inst, mvec, args.l, r)
     if record.vector.is_zero():         # it would pass every check vacuously
         raise ValueError(f"--l {args.l} gives the zero vector at level {record.r} "
                          f"(with the default exponents l runs over 1..{inst.g})")

@@ -3,12 +3,11 @@
 The solutions are x-coefficients of the master polynomial
     Phi(x, z, M) = prod_i (x - z_i)**M_i,       M_i = -1/2 mod p**s:
 the vector I of x**k coefficients, k = l p**s - 1, of (Phi/(x-z_1), ..., Phi/(x-z_n))
-solves the system mod p**s for l = 1..g.  As dPhi/dz_j = -M_j Phi/(x - z_j), it is the
-gradient of one slice of Phi: -M_j I_j = d/dz_j [Phi]_{x**k} exactly over Z.  The slice
-never expands the full product: a z-monomial z**d occurs in Phi only with x-exponent
-sum(M)-sum(d), so only the bounded compositions of the matching total are enumerated,
-and a slice above the desk budget is refused before that.  The naive full
-expansion is kept as an independent oracle for desk-scale cross-checks.
+solves the system mod p**s for l = 1..g.  At z**d component j is (-1)**|d| binom(M_j - 1,
+d_j) prod_{i != j} binom(M_i, d_i), read from binomial rows in one walk over the bounded
+compositions of sum(M) - 1 - k (``sparsepoly.product_power_gradient``); a walk above the
+desk budget is refused before it starts.  The closed formula by ``math.comb``
+(``coefficient_vector``) and the naive full expansion are independent oracles.
 """
 
 from __future__ import annotations
@@ -75,7 +74,7 @@ def _factor_product(xvars, zvars, caps) -> Polynomial:
 
 
 def extract_at_index(inst: KZInstance, mvec, k: int) -> PolyVector:
-    """The x**k coefficients of (Phi/(x-z_1), ..., Phi/(x-z_n)), as -grad [Phi]_{x**k} / M."""
+    """The x**k coefficients of (Phi/(x-z_1), ..., Phi/(x-z_n)), exactly over Z."""
     return product_power_gradient(validate_mvec(inst, mvec), k, inst.zvars)
 
 

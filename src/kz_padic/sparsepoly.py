@@ -1,15 +1,16 @@
 """Exact sparse multivariate polynomial arithmetic over Z and Z/m.
 
-Polynomials are stored as a map from exponent tuples to nonzero integer
-coefficients, together with an ordered tuple of variable names.  All
-arithmetic is exact over arbitrary-precision integers; modular reduction
-is explicit via ``reduce_mod``.  Values are immutable after construction.
+Polynomials map exponent tuples to nonzero integer coefficients over an ordered
+tuple of variable names; arithmetic is exact, reduction explicit (``reduce_mod``),
+and values are immutable after construction.  Slices of prod_i (X - Y_i)**E_i are
+read without expanding it: ``row_products`` is the one product of binomial rows,
+which the slices, the solution vector and the zone families of ``asymptotic`` share.
 """
 
 from __future__ import annotations
 
 import math
-from itertools import chain, repeat
+from itertools import chain, compress, islice, repeat
 from operator import add, itemgetter, mul
 from typing import Iterable, Iterator, Mapping
 
@@ -406,7 +407,7 @@ class PolyVector:
 # -- direct coefficient extraction from products of binomials ----------------
 
 def bounded_compositions(total: int, caps) -> Iterator[tuple]:
-    """Yield tuples d with 0 <= d_i <= caps[i] and sum(d) == total."""
+    """Yield tuples d with 0 <= d_i <= caps[i] and sum(d) == total, in lexicographic order."""
     caps = tuple(caps)
     suffix = [0] * (len(caps) + 1)
     for i in range(len(caps) - 1, -1, -1):
@@ -414,67 +415,97 @@ def bounded_compositions(total: int, caps) -> Iterator[tuple]:
     out = [0] * len(caps)
 
     def rec(i: int, remaining: int):
-        if i == len(caps):
-            if remaining == 0:
-                yield tuple(out)
+        if i == len(caps) - 1:          # the last slot takes what remains
+            out[i] = remaining
+            yield tuple(out)
             return
-        lo = max(0, remaining - suffix[i + 1])
-        hi = min(caps[i], remaining)
-        for d in range(lo, hi + 1):
+        for d in range(max(0, remaining - suffix[i + 1]), min(caps[i], remaining) + 1):
             out[i] = d
             yield from rec(i + 1, remaining - d)
-        out[i] = 0
 
     if 0 <= total <= suffix[0]:
-        yield from rec(0, total)
+        yield from (rec(0, total) if caps else [()])
 
 
 def slice_tuples(exponents, k: int) -> Iterator[tuple]:
-    """The Y-exponent tuples of the slice at X**k of prod_i (X - Y_i)**E_i; every slice
-    the package enumerates comes from here, checked against the desk budget before the first."""
+    """The Y-exponent tuples of the slice at X**k of prod_i (X - Y_i)**E_i, checked against
+    the desk budget before the first; the gradient's walk checks its own cost."""
     desk_check(slice_cost(exponents, k), f"slice at X**{k}")
     return bounded_compositions(sum(exponents) - k, exponents)
+
+
+def binomial_row(top: int, lo: int, hi: int, sign: int = 1) -> dict:
+    """{e: sign**e binom(top, e)} for lo <= e <= hi, all 0 if top < 0; each entry is the
+    one before times sign (top - e), divided exactly by e + 1."""
+    c, row = sign ** lo * math.comb(top, lo) if top >= 0 else 0, {}
+    for e in range(lo, hi + 1):
+        row[e] = c
+        c = c * sign * (top - e) // (e + 1)
+    return row
+
+
+def binomial_rows(exponents, total: int, lower: int = 0) -> list:
+    """Per slot i, the coefficients of Y_i**e in (X - Y_i)**(E_i - lower) over the e that a
+    tuple of sum ``total`` under the caps E can hold; equal caps share one row."""
+    rest = sum(exponents) - total
+    rows = {cap: binomial_row(cap - lower, max(0, cap - rest), min(cap, total), -1)
+            for cap in set(exponents)}
+    return [rows[cap] for cap in exponents]
+
+
+def row_products(indices, plain, special, live: range) -> Iterator[tuple]:
+    """The one product of binomial rows.  Per chunk of up to 1024 indices a, it yields the
+    chunk, the column of prod_i plain_i[a_i] and, per slot i in ``live``, the column of
+    special_i[a_i] times prod_{m != i} plain_m[a_m].  A row entry may be 0 or a non-unit,
+    so each such product is a prefix times a suffix of the plain factors, never a quotient."""
+    indices = iter(indices)
+    while chunk := list(islice(indices, 1024)):
+        columns = list(zip(*chunk))
+        factors = [list(map(row.__getitem__, col)) for row, col in zip(plain, columns)]
+        before = [repeat(1)]            # before[i]: the plain factors of the slots < i
+        for col in factors:
+            before.append(list(map(mul, before[-1], col)))
+        entries, after = [], repeat(1)  # after: the plain factors of the slots > i
+        for i in reversed(range(live.start, len(factors)) if live else ()):
+            if i < live.stop:
+                entries.append(list(map(mul, map(mul, map(special[i].__getitem__, columns[i]),
+                                                 before[i]), after)))
+            after = list(map(mul, after, factors[i]))
+        yield chunk, before[-1], entries[::-1]
 
 
 def product_power_slice(exponents, k: int) -> dict:
     """Coefficient of X**k in prod_i (X - Y_i)**E_i, as a map Y-exponent -> int.
 
     A Y-monomial Y**d occurs in the product only with X-exponent sum(E) - sum(d), so the
-    slice holds exactly the tuples d with sum(d) == sum(E) - k, each with sign (-1)**sum(d).
+    slice holds exactly the tuples d with sum(d) == sum(E) - k, each with the product of
+    the rows (-1)**e binom(E_i, e).
     """
     exponents = tuple(exponents)
-    sign = -1 if (sum(exponents) - k) % 2 else 1
-    out = {}
-    for d in slice_tuples(exponents, k):
-        coeff = sign
-        for cap, e in zip(exponents, d):
-            coeff *= math.comb(cap, e)
-        out[d] = coeff
-    return out
+    plain = binomial_rows(exponents, sum(exponents) - k)
+    return dict(chain.from_iterable(zip(chunk, coeffs) for chunk, coeffs, _ in
+                                    row_products(slice_tuples(exponents, k), plain, (), range(0))))
 
 
 def product_power_gradient(exponents, k: int, variables) -> PolyVector:
-    """Entry i: -d/dY_i (S) / E_i for the one slice S at X**k of prod_j (X - Y_j)**E_j.
+    """Entry i: the X**k coefficient of prod_j (X - Y_j)**E_j / (X - Y_i) over Z, which is
+    -d/dY_i / E_i of the product's slice at X**k, and 0 when E_i = 0.
 
-    As d/dY_i prod_j (X - Y_j)**E_j = -E_i prod_j (X - Y_j)**E_j / (X - Y_i), that is the
-    X**k coefficient of the product over (X - Y_i), exactly over Z; an inexact division
-    raises AssertionError.  A derivative shifts monomials injectively: no terms merge.
-    Its cost counts 2n passes per tuple: the n entries, and the verifier's pair
-    residues or the zone map over each.
+    Its rows are (-1)**e binom(E_i - 1, e) in slot i and (-1)**e binom(E_j, e) in the others,
+    so one walk over the tuples of sum sum(E) - 1 - k gives every entry its terms, all keyed
+    by the walk's tuples.  Its cost counts 2n passes per tuple: the n entries, and the
+    verifier's pair residues or the zone map over each.
     """
+    exponents = tuple(exponents)
     desk_check(slice_cost(exponents, k, 2 * len(exponents)), f"gradient at X**{k}")
-    sl = product_power_slice(exponents, k)
-    entries = []
-    for i, cap in enumerate(exponents):
-        terms = {}
-        for d, c in sl.items():
-            if d[i]:
-                q, rem = divmod(-d[i] * c, cap)
-                if rem:
-                    raise AssertionError(f"d/dY{i + 1} of the slice at {d} not divisible by {cap}")
-                terms[d[:i] + (d[i] - 1,) + d[i + 1:]] = q
-        entries.append(Polynomial(variables, terms))
-    return PolyVector(entries)
+    total = sum(exponents) - 1 - k
+    plain, special = binomial_rows(exponents, total), binomial_rows(exponents, total, 1)
+    entries = [{} for _ in exponents]
+    for chunk, _, columns in row_products(bounded_compositions(total, exponents), plain,
+                                          special, range(len(exponents))):
+        for terms, coeffs in zip(entries, columns):
+            terms.update(compress(zip(chunk, coeffs), coeffs))
+    return PolyVector(Polynomial(variables, terms) for terms in entries)
 
 
 def slice_size(exponents, k: int) -> int:
@@ -503,14 +534,19 @@ def slice_size(exponents, k: int) -> int:
 
 
 def slice_cost(exponents, k: int, passes: int = 1) -> int:
-    """Work of the slice at X**k: per tuple, n multiplies of its coefficient and ``passes``
-    walks over its n exponents.  The coefficient is at most binom(E, K), E = sum(E_i),
-    K = min(k, E - k) (Vandermonde), which is below both 2**E and (4E/K)**K."""
+    """Work of the slice at X**k: per tuple, n multiplies of its coefficient, whose size
+    ``coefficient_bits`` bounds, and ``passes`` walks over its n exponents."""
     exponents = tuple(exponents)
-    n, E = len(exponents), sum(exponents)
+    return slice_size(exponents, k) * len(exponents) * (digits(coefficient_bits(exponents, k))
+                                                        + passes)
+
+
+def coefficient_bits(exponents, k: int) -> int:
+    """Bits of the largest |coefficient| of the slice at X**k: it is at most binom(E, K),
+    E = sum(E_i), K = min(k, E - k) (Vandermonde), below both 2**E and (4E/K)**K."""
+    E = sum(exponents)
     K = min(k, E - k)
-    bits = min(E, K * ((E // K).bit_length() + 2)) if K > 0 else 1
-    return slice_size(exponents, k) * n * (digits(bits) + passes)
+    return min(E, K * ((E // K).bit_length() + 2)) if K > 0 else 1
 
 
 # -- modulus context ----------------------------------------------------------

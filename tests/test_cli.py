@@ -1,5 +1,6 @@
 import ast
 import json
+import sys
 import time
 from decimal import Decimal
 from pathlib import Path
@@ -208,12 +209,33 @@ def test_missing_option_is_usage_error(argv, capsys):
     ["gen", "--p", 5, "--s", 2, "--n", 3, "--l", 0],
     ["verify", "--p", 5, "--s", 1, "--n", 3, "--l", 2, "--mvec", "2,2,2"],
 ])
-def test_zero_vector_is_usage_error(argv):
+def test_zero_vector_is_usage_error(argv, capsys):
     # outside l = 1..g the minimal exponent vector gives the zero vector,
-    # which would pass every check vacuously
-    with pytest.raises(SystemExit) as err, pytest.warns(UserWarning, match="zero vector"):
+    # which would pass every check vacuously; the library's warning stays inside
+    with pytest.raises(SystemExit) as err:
         run(argv)
     assert err.value.code == 2
+    error = capsys.readouterr().err.splitlines()
+    assert len(error) == 1 and error[0].startswith("kz: error: --l ")
+    assert "gives the zero vector" in error[0]
+
+
+@pytest.mark.parametrize("cmd", ["gen", "verify"])
+def test_coefficients_past_the_string_limit_are_refused_before_extraction(
+        cmd, monkeypatch, capsys):
+    # 4 slice tuples are far below the desk budget, but a coefficient near
+    # binom(100000, 50000) could not be written in decimal
+    def enumerate_nothing(*args):
+        raise AssertionError("enumerated past the digit guard")
+
+    monkeypatch.setattr(sparsepoly, "bounded_compositions", enumerate_nothing)
+    monkeypatch.setattr(sys, "get_int_max_str_digits", lambda: 4300)
+    argv = [cmd, "--p", 3, "--s", 1, "--n", 3, "--l", 16667, "--mvec", "1,1,100000"]
+    assert request_cost(argv) <= DESK_LIMIT
+    with pytest.raises(SystemExit) as err:
+        run(argv)
+    assert err.value.code == 2
+    assert "integer string limit of 4300 digits" in capsys.readouterr().err
 
 
 def _set_schema(data):

@@ -35,6 +35,7 @@ from kz_padic.sparsepoly import (
     ModulusContext,
     Polynomial,
     PolyVector,
+    bounded_compositions,
     z_variables,
 )
 
@@ -116,6 +117,20 @@ def test_formula_matches_extraction_small_grid():
         inst = make(p, s, n)
         for l in range(1, inst.g + 1):
             assert solution_from_formula(inst, l) == extract_solution(inst, None, l).vector
+
+
+@pytest.mark.parametrize("p,s,n", [(5, 1, 3), (5, 2, 3), (5, 3, 3), (7, 1, 3), (7, 2, 3),
+                                   (5, 1, 5), (5, 2, 5), (7, 1, 5)])
+def test_extraction_matches_the_closed_formula_on_the_grid(p, s, n):
+    # the binomial-row walk against math.comb per monomial, keys in the walk's lex order
+    inst = make(p, s, n)
+    for l in range(1, inst.g + 1):
+        vec = extract_solution(inst, None, l).vector
+        want = {d: coefficient_vector(inst, l, d)
+                for d in bounded_compositions(solution_degree(inst, l), minimal_mvec(inst))}
+        for i, entry in enumerate(vec):
+            assert list(entry.terms) == sorted(entry.terms)
+            assert entry.terms == {d: c[i] for d, c in want.items() if c[i]}, (l, i)
 
 
 def test_leading_term_vector():

@@ -1,3 +1,4 @@
+import math
 import random
 from pathlib import Path
 
@@ -295,11 +296,66 @@ def test_product_power_gradient_matches_expansion():
             assert list(product_power_gradient(caps, k, ys)) == want, (caps, k)
 
 
-def test_product_power_gradient_refuses_an_inexact_division(monkeypatch):
-    # -d/dy1 of 3*y1 is -3, which the exponent 2 does not divide
-    monkeypatch.setattr(sparsepoly, "product_power_slice", lambda exponents, k: {(1, 0): 3})
-    with pytest.raises(AssertionError, match="not divisible by 2"):
-        product_power_gradient((2, 1), 2, ("y1", "y2"))
+def _lowered_expansions(caps):
+    """prod_j (X - y_j)**E_j over (X, y) and, per i, the product over (X - y_i) (0 if E_i = 0)."""
+    variables = ("X",) + z_variables(len(caps))
+    X, *y = gens(variables)
+
+    def product(exponents):
+        poly = Polynomial.one(variables)
+        for yj, e in zip(y, exponents):
+            poly = poly * (X - yj) ** e
+        return poly
+
+    return product(caps), [product([e - (i == j) for j, e in enumerate(caps)]) if cap
+                           else Polynomial.zero(variables) for i, cap in enumerate(caps)]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from([1, 2, 4]).flatmap(
+    lambda n: st.lists(st.integers(0, 4), min_size=n, max_size=n)))
+@example([0])
+@example([3, 0])
+@example([0, 2, 0, 1])
+def test_binomial_row_rule_matches_full_expansion(caps):
+    # unequal and zero caps, every k from -1 to sum(E) + 1: the gradient's entry i is
+    # the slice of the product over (X - y_i), and 0 when E_i = 0
+    full, lowered = _lowered_expansions(caps)
+    ys = z_variables(len(caps))
+    for k in range(-1, sum(caps) + 2):
+        got = product_power_gradient(caps, k, ys)
+        assert list(got) == [poly.slice_power("X", k) for poly in lowered], (caps, k)
+        assert Polynomial(ys, product_power_slice(caps, k)) == full.slice_power("X", k)
+
+
+def test_binomial_row_by_recurrence_matches_math_comb():
+    for top in range(-1, 9):
+        for lo in range(0, 11):
+            for hi in range(lo - 1, 11):
+                for sign in (1, -1):
+                    want = {e: sign ** e * math.comb(top, e) if top >= 0 else 0
+                            for e in range(lo, hi + 1)}
+                    assert sparsepoly.binomial_row(top, lo, hi, sign) == want
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 5).flatmap(lambda n: st.tuples(
+    st.lists(st.lists(st.integers(-6, 6), min_size=3, max_size=3), min_size=n, max_size=n),
+    st.lists(st.lists(st.integers(-6, 6), min_size=3, max_size=3), min_size=n, max_size=n),
+    st.lists(st.lists(st.integers(0, 2), min_size=n, max_size=n), min_size=1, max_size=5),
+    st.integers(0, n), st.integers(0, n))))
+def test_row_products_are_products_without_quotients(case):
+    # rows with zeros and non-units: each live entry is the special factor times the
+    # plain factors of the other slots, the first value the plain product
+    plain, special, indices, lo, hi = case
+    live = range(min(lo, hi), max(lo, hi))
+    [(chunk, whole, entries)] = sparsepoly.row_products(map(tuple, indices), plain, special, live)
+    assert chunk == list(map(tuple, indices))
+    for t, a in enumerate(chunk):
+        factors = [row[e] for row, e in zip(plain, a)]
+        assert whole[t] == math.prod(factors)
+        assert [col[t] for col in entries] == [
+            special[i][a[i]] * math.prod(factors[:i] + factors[i + 1:]) for i in live]
 
 
 def test_slice_above_the_desk_limit_is_refused_before_enumerating(monkeypatch):
