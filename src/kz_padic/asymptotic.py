@@ -7,6 +7,9 @@ Substituting w_i = u_1...u_i turns it into u-polynomials that factor as a
 signed monomial prefactor times a truncation T with explicit binomial
 coefficients; replacing the binomials of the truncation by their
 half-integer limits yields the p-adic series the truncations converge to.
+Both families live on the same two index hyperplanes, which one walker,
+``zone_runs``, lists class by class; their rows come from two rules,
+``sparsepoly.binomial_row`` for M and ``padic.binom_half_rows`` at M = -1/2.
 The x-coordinate forms Q multiply away the balanced part of the prefactor
 so that only x_1 carries the square-root behaviour.
 """
@@ -15,10 +18,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import accumulate, groupby, repeat
+from itertools import accumulate, repeat
 
 from .kz import Check, KZInstance, failure_site
-from .padic import PAdic, binom_half, int_valuation
+from .padic import PAdic, binom_half, binom_half_rows, int_valuation
 from .sparsepoly import (
     Polynomial,
     PolyVector,
@@ -235,31 +238,43 @@ def zone_request_cost(inst: KZInstance, l: int, cutoff: int | None = None,
     and with a cutoff the limit series mod p**N."""
     check_index(inst.n, l)
     n, M = inst.n, inst.ctx.half
-    k, caps = l * inst.ctx.modulus - 1 - M, (M,) * (n - 1)     # k: the gradient slice's index
-    cost = slice_cost(caps, k, 2 * (n - 1)) + slice_cost(caps, k + 1)
+    k, caps = l * inst.ctx.modulus - M, (M,) * (n - 1)     # the gradient walks the slice at k
+    cost = slice_cost(caps, k, 2 * (n - 1)) + slice_cost(caps, k)
     cost += truncation_index_count(n, l, M) * (2 * (n - 1) + n * n) * digits((n - 1) * M)
     return cost + (series_cost(inst.ctx.p, n, l, cutoff, N) if cutoff is not None else 0)
 
 
-def _truncated_index_iter(n: int, l: int, M: int):
-    """Indices on the two hyperplanes ``index_class`` accepts.
+def zone_runs(n: int, l: int, cap: int | None, cutoff: int | None):
+    """The indices of the zone expansions, one run per class: yields (components, indices)
+    for "A" (offset l-1) and then "B" (offset l).
 
-    Each right block is paired with the left blocks whose sum puts the
-    index on A or on B; tuples off both hyperplanes are never formed, and
-    no right block is listed whose sum r + l - 1 no left block reaches.
+    With F and S the sums of the visible slots before and after the balance slot
+    (position n-2l), the class's offset o fixes the balance slot at S + o - F.  Every slot
+    stays at most ``cap`` and the visible degree F + S at most ``cutoff``; the truncation
+    passes cap = M and no cutoff, the series a cutoff and no cap, which leaves the balance
+    unbounded.  The slots after the balance slot are walked first, then only the first
+    blocks whose F keeps the balance in range, and no S is walked that no F completes.
     """
-    block = n - 2 * l
-    left_caps, right_caps = (M,) * block, (M,) * (n - 1 - block)
-    for r in range(min(sum(right_caps), block * M - l + 1) + 1):
-        rights = list(bounded_compositions(r, right_caps))
-        for offset in (l - 1, l):
-            for left in bounded_compositions(r + offset, left_caps):
-                for right in rights:
-                    yield left + right
+    cap = cutoff + l if cap is None else cap                # the balance is at most S + l
+    cutoff = (n - 2) * cap if cutoff is None else cutoff    # F + S is at most (n-2) cap
+    slot = min(cap, cutoff)
+    firsts, seconds = (slot,) * (n - 2 * l - 1), (slot,) * (2 * l - 1)
+
+    def run(offset):
+        for total in range(min(sum(seconds), cutoff, sum(firsts) + cap - offset) + 1):
+            rest = list(bounded_compositions(total, seconds))
+            for f in range(max(0, total + offset - cap),
+                           min(total + offset, cutoff - total, sum(firsts)) + 1):
+                for first in bounded_compositions(f, firsts):
+                    for second in rest:
+                        yield first + (total + offset - f,) + second
+
+    for tag, offset in (("A", l - 1), ("B", l)):
+        yield components_of_class(n, l, tag), run(offset)
 
 
 def series_index_count(n: int, l: int, cutoff: int) -> int:
-    """Number of indices ``series_indices`` yields, in O(cutoff) closed-form terms.
+    """Number of indices ``zone_runs`` yields for the series, in O(cutoff) closed-form terms.
 
     With F and S the sums of the a = n-2l-1 visible slots before the balance
     slot and of the b = 2l-1 after it, offset o in {l-1, l} gives an index
@@ -292,37 +307,12 @@ def series_cost(p: int, n: int, l: int, cutoff: int, N: int) -> int:
     return weight * series_index_count(n, l, cutoff)
 
 
-def series_indices(n: int, l: int, cutoff: int):
-    """Indices whose visible monomial degree is at most the cutoff.
-
-    The balance slot (position n-2l) never appears in the monomials, and the
-    constraint determines it from the visible slots per class: with F and S
-    the sums of the visible slots before and after it, offset o in {l-1, l}
-    gives balance S + o - F.  So the slots after it are walked first, and
-    only the slots before it with F <= S + o and F + S <= cutoff are formed.
-    """
-    block = n - 2 * l
-    for total in range(cutoff + 1):
-        seconds = list(bounded_compositions(total, (cutoff,) * (2 * l - 1)))
-        for offset in (l - 1, l):
-            for f in range(min(total + offset, cutoff - total) + 1):
-                for first in bounded_compositions(f, (cutoff,) * (block - 1)):
-                    for second in seconds:
-                        yield first + (total + offset - f,) + second
-
-
-def _zone_vectors(n: int, l: int, indices, plain, special):
-    """Yield (a, vector) per index: component j < n of a's class multiplies special[a_j]
-    with plain[a_i] for i != j, component n takes the plain product, the others are 0.
-
-    One row per kind serves every slot; ``row_products`` forms the products over each
-    run of indices of one class.  An index off both hyperplanes raises AssertionError.
-    """
+def _zone_vectors(n: int, runs, plain, special):
+    """Yield (a, vector) per index of the ``zone_runs`` runs: component j < n of the run's
+    class multiplies special[a_j] with plain[a_i] for i != j, component n takes the plain
+    product, the others are 0; ``row_products`` forms them from one row per kind."""
     plain, special, zero = (plain,) * (n - 1), (special,) * (n - 1), repeat(0)
-    for tag, run in groupby(indices, lambda a: index_class(n, l, a)):
-        if tag is None:
-            raise AssertionError(f"enumerated index {next(run)} violates its constraint")
-        comps = components_of_class(n, l, tag)
+    for comps, run in runs:
         live = range(comps.start - 1, min(comps.stop, n) - 1)      # the slots of j < n
         for chunk, whole, entries in row_products(run, plain, special, live):
             columns = ([zero] * live.start + entries + [zero] * (n - 1 - live.stop)
@@ -341,7 +331,7 @@ def truncated_expansion(inst: KZInstance, l: int) -> SeriesTruncation:
     desk_check(zone_request_cost(inst, l), "truncation")    # with the slices it pairs with
     plain, special = binomial_row(M, 0, M), binomial_row(M - 1, 0, M)
     coeffs = {a: vec for a, vec in
-              _zone_vectors(n, l, _truncated_index_iter(n, l, M), plain, special) if any(vec)}
+              _zone_vectors(n, zone_runs(n, l, M, None), plain, special) if any(vec)}
     return SeriesTruncation(n, l, "truncated", inst.ctx.p, None, None, coeffs)
 
 
@@ -353,11 +343,9 @@ def limit_series(p: int, n: int, l: int, cutoff: int, N: int) -> SeriesTruncatio
     """
     check_index(n, l)
     desk_check(series_cost(p, n, l, cutoff, N), "series")
-    top = cutoff + l + 1  # the balance slot can exceed the visible degrees by l
-    plain = [binom_half(0, e, p, N).residue for e in range(top + 1)]
-    special = [binom_half(1, e, p, N).residue for e in range(top + 1)]
+    plain, special = binom_half_rows(cutoff + l, p ** N)     # the balance reaches cutoff + l
     coeffs = {a: tuple(PAdic(p, N, c) for c in vec) for a, vec in
-              _zone_vectors(n, l, series_indices(n, l, cutoff), plain, special)}
+              _zone_vectors(n, zone_runs(n, l, None, cutoff), plain, special)}
     return SeriesTruncation(n, l, "series", p, N, cutoff, coeffs)
 
 
@@ -466,8 +454,8 @@ def coefficient_difference_bound(p: int, s: int, n: int, l: int, a, j: int) -> i
 def truncation_correspondence(inst: KZInstance, l: int, D: int) -> Check:
     """Compare truncation and series coefficients index by index up to degree D.
 
-    A row per index a and component: the certified valuation of the
-    difference (precision-clamped) against its bound.
+    A row per index a and component, run by run of ``zone_runs``: the
+    certified valuation of the difference (precision-clamped) against its bound.
     """
     if D > inst.ctx.half:
         raise ValueError("cutoff exceeds the truncation's index range")
@@ -476,16 +464,14 @@ def truncation_correspondence(inst: KZInstance, l: int, D: int) -> Check:
     trunc = truncated_expansion(inst, l)
     series = limit_series(p, n, l, D, N)
     rows = []
-    for a, svec in sorted(series.coeffs.items()):
-        tvec = trunc.coeffs.get(a, (0,) * n)
-        tag = index_class(n, l, a)
-        for j in components_of_class(n, l, tag):
-            tval = tvec[j - 1]
-            diff = PAdic(p, N, tval) - svec[j - 1]
-            val = diff.norm_exponent()
-            bound = coefficient_difference_bound(p, s, n, l, a, j)
-            rows.append({"a": a, "component": j, "difference_valuation": val,
-                         "bound": bound, "vacuous": bound == 0, "ok": val >= bound})
+    for comps, run in zone_runs(n, l, None, D):
+        for a in run:
+            tvec, svec = trunc.coeffs.get(a, (0,) * n), series.coeffs[a]
+            for j in comps:
+                val = (PAdic(p, N, tvec[j - 1]) - svec[j - 1]).norm_exponent()
+                bound = coefficient_difference_bound(p, s, n, l, a, j)
+                rows.append({"a": a, "component": j, "difference_valuation": val,
+                             "bound": bound, "vacuous": bound == 0, "ok": val >= bound})
     return Check(passed=all(r["ok"] for r in rows), rows=rows)
 
 

@@ -11,8 +11,9 @@ listing their indices.  An index a = (a_1..a_{n-1}) has a left block
 a_1..a_{n-2l}, whose last slot is the balance slot, and a right block after
 it.  Its coefficient in component j is a product of one binomial per slot,
 prod_i c_i(a_i): c_i(e) = binom(M-1, e) on the distinguished slot i = j
-(j < n) and binom(M, e) elsewhere; binom(-3/2, e) and binom(-1/2, e) for
-the series.  Its x-monomial is prod_i x_i**a_i over the visible slots, with
+(j < n) and binom(M, e) elsewhere, rows of ``sparsepoly.binomial_row``;
+binom(-3/2, e) and binom(-1/2, e) for the series, rows of
+``padic.binom_half_rows``.  Its x-monomial is prod_i x_i**a_i over the visible slots, with
 x = 1 on the balance slot.  The indices fill the two hyperplanes
 left sum - right sum = offset, with offset l - 1 for j <= n-2l and l above.
 So, with the per-slot rows and block products
@@ -29,6 +30,7 @@ vanishes mod p**N once e * v_p(x_i) >= N: each row stops there, and the
 balance row at what the right block can reach.  For the series this
 per-slot box and the degree-<=cutoff simplex agree mod p**N whenever
 cutoff >= N - 1, since the extra terms have visible degree above N - 1.
+Only the envelope lists indices: those of ``asymptotic.zone_runs`` up to degree s.
 """
 
 from __future__ import annotations
@@ -40,26 +42,24 @@ from fractions import Fraction
 from .asymptotic import (
     check_index,
     coefficient_difference_bound,
-    components_of_class,
     constant_vector,
-    index_class,
     series_constant_vector,
-    series_indices,
     x_monomial,
+    zone_runs,
 )
 from .kz import Check, KZInstance
 from .padic import (
     PAdic,
     PrecisionError,
-    binom_half,
     binom_half_fraction,
+    binom_half_rows,
     fraction_valuation,
     hensel_sqrt,
     int_valuation,
     legendre,
     teichmuller,
 )
-from .sparsepoly import ModulusContext, desk_check, digits
+from .sparsepoly import ModulusContext, binomial_row, desk_check, digits
 
 
 def sample_disc(p: int, alpha: int, count: int, seed: int, N: int) -> list:
@@ -174,16 +174,13 @@ def _row_top(l: int, N: int) -> int:
 
 def _truncation_rows(M: int, l: int, p: int, N: int) -> tuple:
     """Slot rows binom(M, e) and binom(M-1, e) of the level-M truncation, mod p**N."""
-    m = p ** N
-    top = min(M, _row_top(l, N))
-    return ([math.comb(M, e) % m for e in range(top + 1)],
-            [math.comb(M - 1, e) % m for e in range(top + 1)])
+    m, top = p ** N, min(M, _row_top(l, N))
+    return tuple([c % m for c in binomial_row(t, 0, top).values()] for t in (M, M - 1))
 
 
 def _series_rows(p: int, l: int, N: int) -> tuple:
     """Slot rows binom(-1/2, e) and binom(-3/2, e) of the limit series, mod p**N."""
-    top = _row_top(l, N)
-    return tuple([binom_half(l1, e, p, N).residue for e in range(top + 1)] for l1 in (0, 1))
+    return binom_half_rows(_row_top(l, N), p ** N)
 
 
 def _slot_rows(n: int, l: int, rows: tuple, point, p: int, N: int) -> tuple:
@@ -363,8 +360,8 @@ def difference_envelope(p: int, s: int, n: int, l: int, cutoff: int,
     cutoff every truncation index is also a series index.
     """
     best = min(sum(x_monomial(n, l, j, a)) + coefficient_difference_bound(p, s, n, l, a, j)
-               for a in series_indices(n, l, min(cutoff, s))
-               for j in components_of_class(n, l, index_class(n, l, a)))
+               for comps, run in zone_runs(n, l, None, min(cutoff, s))
+               for a in run for j in comps)
     floors = [tail_floor(cutoff), best]
     if with_prefactor:
         floors.append(s + 1)

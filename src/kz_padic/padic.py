@@ -4,8 +4,8 @@ A value is a residue modulo p**N for an explicitly chosen precision N.
 A residue that vanishes at the working precision has norm exponent N (the
 certified bound |x| <= p^-N), never an exact zero, so precision underflow
 cannot masquerade as convergence.  Includes Teichmuller representatives,
-Hensel square roots, half-integer binomial coefficients, and the binomial
-valuation identities used by the solution-shift machinery.
+Hensel square roots, half-integer binomial coefficients and their rows, and
+the binomial valuation identities used by the solution-shift machinery.
 """
 
 from __future__ import annotations
@@ -189,6 +189,23 @@ def binom_half(l1: int, k: int, p: int, N: int) -> PAdic:
     which keeps the p-valuation bookkeeping exact for odd p.
     """
     return PAdic.from_fraction(binom_half_fraction(l1, k), p, N)
+
+
+def binom_half_rows(top: int, m: int) -> tuple:
+    """Rows of binom(-1/2, e) and binom(-3/2, e) mod an odd m, for 0 <= e <= top.
+
+    binom(-1/2, e) = (-1/4)**e C(2e, e) and binom(-3/2, e) = (2e + 1) binom(-1/2, e);
+    C(2e, e) is kept exactly, each step times 2(2e + 1) and divided by e + 1.
+    """
+    quarter = pow(-4, -1, m)
+    central, power, plain, special = 1, 1, [], []
+    for e in range(top + 1):
+        c = central * power % m
+        plain.append(c)
+        special.append(c * (2 * e + 1) % m)
+        central = central * (4 * e + 2) // (e + 1)
+        power = power * quarter % m
+    return plain, special
 
 
 def binom_half_fraction(l1: int, k: int) -> Fraction:

@@ -492,12 +492,12 @@ def product_power_gradient(exponents, k: int, variables) -> PolyVector:
     -d/dY_i / E_i of the product's slice at X**k, and 0 when E_i = 0.
 
     Its rows are (-1)**e binom(E_i - 1, e) in slot i and (-1)**e binom(E_j, e) in the others,
-    so one walk over the tuples of sum sum(E) - 1 - k gives every entry its terms, all keyed
-    by the walk's tuples.  Its cost counts 2n passes per tuple: the n entries, and the
-    verifier's pair residues or the zone map over each.
+    so one walk over the tuples of sum sum(E) - 1 - k, the slice at X**(k+1), gives every entry
+    its terms, keyed by the walk's tuples.  Its cost counts that slice with 2n passes a tuple:
+    the n entries, and the verifier's pair residues or the zone map over each.
     """
     exponents = tuple(exponents)
-    desk_check(slice_cost(exponents, k, 2 * len(exponents)), f"gradient at X**{k}")
+    desk_check(slice_cost(exponents, k + 1, 2 * len(exponents)), f"gradient at X**{k}")
     total = sum(exponents) - 1 - k
     plain, special = binomial_rows(exponents, total), binomial_rows(exponents, total, 1)
     entries = [{} for _ in exponents]

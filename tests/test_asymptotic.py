@@ -20,7 +20,6 @@ from kz_padic.asymptotic import (
     q_consistency_report,
     series_constant_vector,
     series_index_count,
-    series_indices,
     series_prefactor_exponents,
     shift_solution,
     translation_membership,
@@ -32,6 +31,7 @@ from kz_padic.asymptotic import (
     x_dictionary,
     x_monomial,
     zone_request_cost,
+    zone_runs,
 )
 from kz_padic.kz import KZInstance, verify_solution
 from kz_padic.padic import PAdic, binom_half_fraction
@@ -56,6 +56,17 @@ def box_indices(n, l, M):
     """Oracle: the whole index box [0, M]**(n-1), filtered by ``index_class``."""
     tagged = ((a, index_class(n, l, a)) for a in itertools.product(range(M + 1), repeat=n - 1))
     return {a: tag for a, tag in tagged if tag is not None}
+
+
+def run_indices(n, l, cap, cutoff):
+    """The indices of the ``zone_runs`` runs in walk order, each checked for its run's class."""
+    out = []
+    for tag, (comps, run) in zip("AB", zone_runs(n, l, cap, cutoff)):
+        assert comps == components_of_class(n, l, tag)
+        for a in run:
+            assert index_class(n, l, a) == tag, (a, tag)
+            out.append(a)
+    return out
 
 
 def box_coefficients(n, l, M, indices):
@@ -191,9 +202,9 @@ def test_truncation_indices_satisfy_constraints():
         inst = make(p, s, n)
         st = truncated_expansion(inst, l)
         assert all(index_class(n, l, a) for a in st.coeffs)
-    # both zone families go through one builder, which refuses an index off the hyperplanes
-    with pytest.raises(AssertionError):
-        list(asymptotic._zone_vectors(3, 1, [(4, 2)], [1] * 5, [1] * 5))
+        # both zone families read their classes from the walker's runs
+        run_indices(n, l, inst.ctx.half, None)
+        run_indices(n, l, None, 4)
 
 
 @pytest.mark.parametrize("p,s,n", [(p, s, n) for p in (5, 7) for s in (1, 2) for n in (3, 5)])
@@ -202,7 +213,7 @@ def test_hyperplane_enumeration_equals_filtered_box(p, s, n):
     M = inst.ctx.half
     for l in range(1, inst.g + 1):
         box = box_indices(n, l, M)
-        walked = list(asymptotic._truncated_index_iter(n, l, M))
+        walked = run_indices(n, l, M, None)
         assert len(walked) == len(box) == truncation_index_count(n, l, M)
         assert set(walked) == set(box)
         assert truncated_expansion(inst, l).coeffs == box_coefficients(n, l, M, box)
@@ -214,7 +225,7 @@ def test_desk_guard_counts_hyperplane_tuples():
     M = inst.ctx.half
     assert zone_request_cost(inst, 1) * (M + 1) ** 4 // 89_436 > DESK_LIMIT
     assert truncation_index_count(5, 1, M) == 89_436
-    assert sum(1 for _ in asymptotic._truncated_index_iter(5, 1, M)) == 89_436
+    assert sum(1 for _, run in zone_runs(5, 1, M, None) for _ in run) == 89_436
     st = truncated_expansion(inst, 1)
     assert all(index_class(5, 1, a) for a in st.coeffs) and len(st.coeffs) <= 89_436
 
@@ -226,7 +237,7 @@ def test_desk_guard_refuses_before_enumerating(monkeypatch):
     def enumerate_nothing(*args):
         raise AssertionError("enumerated past the desk guard")
 
-    monkeypatch.setattr(asymptotic, "_truncated_index_iter", enumerate_nothing)
+    monkeypatch.setattr(asymptotic, "zone_runs", enumerate_nothing)
     with pytest.raises(DeskEnvelopeError):
         truncated_expansion(inst, 1)
 
@@ -260,18 +271,36 @@ def filtered_series_indices(n, l, cutoff):
 @pytest.mark.parametrize("n,l", [(3, 1), (5, 1), (5, 2), (7, 1), (7, 2), (7, 3), (9, 1), (9, 4)])
 def test_series_index_count_matches_the_walk(n, l):
     for cutoff in (0, 1, 2, 5, 9):
-        walked = list(series_indices(n, l, cutoff))
+        walked = run_indices(n, l, None, cutoff)
         assert series_index_count(n, l, cutoff) == len(walked) == len(set(walked))
         assert set(walked) == set(filtered_series_indices(n, l, cutoff))
 
 
+def test_series_walk_forms_linearly_many_compositions(monkeypatch):
+    # at n = 3 the walk forms two compositions per right-block sum and class, where the
+    # walk over every visible degree and first-block sum formed 20,703 at cutoff 200
+    cutoff, calls = 200, 0
+    original = asymptotic.bounded_compositions
+
+    def counted(total, caps):
+        nonlocal calls
+        calls += 1
+        return original(total, caps)
+
+    monkeypatch.setattr(asymptotic, "bounded_compositions", counted)
+    walked = sum(1 for _, run in zone_runs(3, 1, None, cutoff) for _ in run)
+    assert walked == series_index_count(3, 1, cutoff)
+    assert calls <= 6 * (cutoff + 1)
+
+
 def test_zone_request_size_sums_every_part():
-    # (p, s, n, l) = (7, 3, 5, 1): 862,924 + 877,971 slice tuples and 1,740,895 indices
+    # (p, s, n, l) = (7, 3, 5, 1): twice 877,971 slice tuples and 1,740,895 indices
     inst = make(7, 3, 5)
     M = inst.ctx.half
-    # the gradient slice at v-index 171 and the plain one at 172, coefficients below 2**684
-    slices = slice_cost((M,) * 4, 171, 8) + slice_cost((M,) * 4, 172)
-    assert slices == 862_924 * 4 * (digits(684) + 8) + 877_971 * 4 * (digits(684) + 1)
+    # the gradient at v-index 171 walks the tuples of the plain slice at 172, whose
+    # coefficients are below 2**684
+    slices = slice_cost((M,) * 4, 172, 8) + slice_cost((M,) * 4, 172)
+    assert slices == 877_971 * 4 * (digits(684) + 8) + 877_971 * 4 * (digits(684) + 1)
     assert zone_request_cost(inst, 1) == slices + 1_740_895 * (8 + 25) * digits(4 * M)
     series = series_index_count(5, 1, 3) * 5 * (5 * digits(31) + 40)    # 7**11 < 2**31
     assert zone_request_cost(inst, 1, 3, 11) == zone_request_cost(inst, 1) + series
@@ -282,7 +311,7 @@ def test_zone_request_size_sums_every_part():
 def series_oracle(p, n, l, cutoff, N):
     """Component j multiplies binom(-1/2 - [i = j], a_i) over i exactly, then embeds mod p**N."""
     coeffs = {}
-    for a in series_indices(n, l, cutoff):
+    for a in filtered_series_indices(n, l, cutoff):
         vec = [Fraction(0)] * n
         for j in components_of_class(n, l, index_class(n, l, a)):
             vec[j - 1] = math.prod(binom_half_fraction(int(i == j), e) for i, e in enumerate(a, 1))

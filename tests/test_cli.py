@@ -641,14 +641,14 @@ def request_cost(argv):
         inst = KZInstance(args.n, ModulusContext(args.p, args.s))
         mvec = validate_mvec(inst, args.mvec and args.mvec.split(","))
         r = args.r if args.r is not None else args.s
-        return slice_cost(mvec, args.l * args.p ** r - 1, 2 * args.n)
+        return slice_cost(mvec, args.l * args.p ** r, 2 * args.n)  # the slice the gradient walks
     if args.command == "cartier":
         p, n, g = args.p, args.n, (args.n - 1) // 2
         cost = sum(slice_cost(((p - 1) // 2,) * n, j * p - i)
                    for i in range(1, g + 1) for j in range(1, g + 1))
         if args.verify:                         # the level-t solutions it lowers
             t = args.t or 2
-            cost = max(cost, *(slice_cost(((p ** t - 1) // 2,) * n, l * p ** t - 1, 2 * n)
+            cost = max(cost, *(slice_cost(((p ** t - 1) // 2,) * n, l * p ** t, 2 * n)
                                for l in range(1, g + 1)))
         return cost
     if args.command == "asympt":

@@ -3,12 +3,14 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from kz_padic.padic import (
     NonResidueError,
     PAdic,
     binom_half,
     binom_half_fraction,
+    binom_half_rows,
     binom_prime_power_valuation,
     binom_shift_valuation,
     fraction_valuation,
@@ -125,6 +127,24 @@ def test_binom_half_against_fraction_oracle():
                 assert got == PAdic.from_fraction(frac, p, 6)
                 # half-integer binomials are p-adic integers: norm <= 1
                 assert fraction_valuation(frac, p) is None or fraction_valuation(frac, p) >= 0
+
+
+@st.composite
+def half_row_cases(draw):
+    p = draw(st.sampled_from((3, 5, 7, 11)))
+    # up to 3p**2 the rows pass e with p | e + 1 and with p | 2e + 1 several times
+    return p, draw(st.integers(1, 6)), draw(st.integers(0, 3 * p * p))
+
+
+@settings(max_examples=60, deadline=None)
+@given(half_row_cases())
+@example((3, 1, 27))
+@example((11, 6, 363))
+def test_binom_half_rows_match_binom_half(case):
+    p, N, top = case
+    plain, special = binom_half_rows(top, p ** N)
+    assert plain == [binom_half(0, e, p, N).residue for e in range(top + 1)]
+    assert special == [binom_half(1, e, p, N).residue for e in range(top + 1)]
 
 
 def test_binom_prime_power_valuation():
