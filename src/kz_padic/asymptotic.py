@@ -343,7 +343,7 @@ def limit_series(p: int, n: int, l: int, cutoff: int, N: int) -> SeriesTruncatio
     """
     check_index(n, l)
     desk_check(series_cost(p, n, l, cutoff, N), "series")
-    plain, special = binom_half_rows(cutoff + l, p ** N)     # the balance reaches cutoff + l
+    plain, special = binom_half_rows(cutoff + l, p, N)     # the balance reaches cutoff + l
     coeffs = {a: tuple(PAdic(p, N, c) for c in vec) for a, vec in
               _zone_vectors(n, zone_runs(n, l, None, cutoff), plain, special)}
     return SeriesTruncation(n, l, "series", p, N, cutoff, coeffs)

@@ -180,7 +180,7 @@ def _truncation_rows(M: int, l: int, p: int, N: int) -> tuple:
 
 def _series_rows(p: int, l: int, N: int) -> tuple:
     """Slot rows binom(-1/2, e) and binom(-3/2, e) of the limit series, mod p**N."""
-    return binom_half_rows(_row_top(l, N), p ** N)
+    return binom_half_rows(_row_top(l, N), p, N)
 
 
 def _slot_rows(n: int, l: int, rows: tuple, point, p: int, N: int) -> tuple:

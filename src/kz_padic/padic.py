@@ -191,20 +191,22 @@ def binom_half(l1: int, k: int, p: int, N: int) -> PAdic:
     return PAdic.from_fraction(binom_half_fraction(l1, k), p, N)
 
 
-def binom_half_rows(top: int, m: int) -> tuple:
-    """Rows of binom(-1/2, e) and binom(-3/2, e) mod an odd m, for 0 <= e <= top.
+def binom_half_rows(top: int, p: int, N: int) -> tuple:
+    """Rows of binom(-1/2, e) and binom(-3/2, e) mod p**N for an odd prime p, 0 <= e <= top.
 
-    binom(-1/2, e) = (-1/4)**e C(2e, e) and binom(-3/2, e) = (2e + 1) binom(-1/2, e);
-    C(2e, e) is kept exactly, each step times 2(2e + 1) and divided by e + 1.
+    binom(-1/2, e + 1) = binom(-1/2, e) (2e + 1)/(-2(e + 1)) and binom(-3/2, e) =
+    (2e + 1) binom(-1/2, e).  binom(-1/2, e) is carried as p**v times a unit mod p**N,
+    so a step costs the same at every e.
     """
-    quarter = pow(-4, -1, m)
-    central, power, plain, special = 1, 1, [], []
+    m = p ** N
+    unit, v, plain, special = 1, 0, [], []
     for e in range(top + 1):
-        c = central * power % m
+        c = unit * p ** v % m if v < N else 0
         plain.append(c)
         special.append(c * (2 * e + 1) % m)
-        central = central * (4 * e + 2) // (e + 1)
-        power = power * quarter % m
+        up, down = int_valuation(2 * e + 1, p), int_valuation(e + 1, p)
+        v += up - down
+        unit = unit * ((2 * e + 1) // p ** up) * pow(-2 * ((e + 1) // p ** down), -1, m) % m
     return plain, special
 
 

@@ -162,28 +162,33 @@ def coefficient_vector(inst: KZInstance, l: int, d) -> tuple:
         raise ValueError("multi-index length mismatch")
     if sum(d) != solution_degree(inst, l) or any(e < 0 or e > M for e in d):
         return (0,) * inst.n
-    binoms = [math.comb(M, e) for e in d]
-    sign = solution_sign(inst, l)
-    out = []
-    for i, e in enumerate(d):
-        rest = sign
-        for k, b in enumerate(binoms):
-            if k != i:
-                rest *= b
-        out.append(rest * (binoms[i] - (math.comb(M - 1, e - 1) if e else 0)))
-    return tuple(out)
+    return _formula_vector(*_formula_rows(M, d), solution_sign(inst, l), d)
+
+
+def _formula_rows(M: int, exponents) -> tuple:
+    """binom(M, e) and binom(M, e) - binom(M-1, e-1) by ``math.comb``, for e in exponents;
+    the closed formula stays independent of the binomial rows of the kernel it checks."""
+    plain = {e: math.comb(M, e) for e in exponents}
+    return plain, {e: b - (math.comb(M - 1, e - 1) if e else 0) for e, b in plain.items()}
+
+
+def _formula_vector(plain, special, sign: int, d) -> tuple:
+    """Coordinate i: sign * special[d_i] * prod_{k != i} plain[d_k], from one product;
+    the quotient by plain[d_i] is exact, since binom(M, e) > 0 for 0 <= e <= M."""
+    whole = sign * math.prod(map(plain.__getitem__, d))
+    return tuple(whole // plain[e] * special[e] for e in d)
 
 
 def solution_from_formula(inst: KZInstance, l: int) -> PolyVector:
     """Assemble the whole minimal-M solution from the closed formula."""
     M = inst.ctx.half
-    delta = solution_degree(inst, l)
+    plain, special = _formula_rows(M, range(M + 1))
+    sign = solution_sign(inst, l)
     terms = [dict() for _ in range(inst.n)]
-    for d in slice_tuples((M,) * inst.n, inst.n * M - delta):
-        vec = coefficient_vector(inst, l, d)
-        for i, c in enumerate(vec):
+    for d in slice_tuples((M,) * inst.n, inst.n * M - solution_degree(inst, l)):
+        for entry, c in zip(terms, _formula_vector(plain, special, sign, d)):
             if c:
-                terms[i][d] = c
+                entry[d] = c
     return PolyVector([Polynomial(inst.zvars, t) for t in terms])
 
 

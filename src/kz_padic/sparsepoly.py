@@ -153,8 +153,14 @@ class Polynomial:
         exponent columns.  Its keys are pairwise distinct, because a shift is
         injective and the longer operand's monomials are distinct; its
         coefficients are nonzero, because they are products of nonzero
-        integers.  So a row whose keys are all new is inserted as it is, and
-        only a row that meets earlier keys is accumulated term by term.
+        integers.
+
+        When the shorter operand's monomials are pairwise distinct on the
+        columns where the longer operand is constant, rows differ there, so no
+        two rows meet and the product is built in one pass over all rows
+        (every step of a product of factors in new variables).  Otherwise a
+        row whose keys are all new is inserted as it is, and only a row that
+        meets earlier keys is accumulated term by term.
         """
         if isinstance(other, int):
             return self.scale(other)
@@ -169,6 +175,11 @@ class Polynomial:
         # one byte per exponent where they fit: the transpose stays small beside the product
         columns = [bytes(col) if 0 <= min(col) and max(col) < 256 else col
                    for col in zip(*big)]
+        fixed = [i for i, col in enumerate(columns) if col.count(col[0]) == len(col)]
+        if len(small) < 2 or fixed and len(set(map(itemgetter(*fixed), small))) == len(small):
+            out.terms = dict(zip(zip(*map(_shifted, columns, zip(*small))), chain.from_iterable(
+                map(mul, big.values(), repeat(c2)) for c2 in small.values())))
+            return out
         prod: dict = {}
         for m2, c2 in small.items():
             keys = list(zip(*[map(add, col, repeat(e)) if e else col
@@ -303,6 +314,15 @@ class Polynomial:
 
     def __repr__(self) -> str:
         return f"Polynomial({self.vars}, {self.terms})"
+
+
+def _shifted(column, shifts):
+    """The column's copies shifted by each of ``shifts``, laid end to end: a byte
+    translation while every shifted exponent stays in 0..255, else C-level adds."""
+    if isinstance(column, bytes) and min(shifts) >= 0 and max(column) + max(shifts) < 256:
+        table = bytes(range(256)) * 2   # table[e:e + 256] maps b to b + e below 256
+        return b"".join(column.translate(table[e:e + 256]) if e else column for e in shifts)
+    return chain.from_iterable(map(add, column, repeat(e)) if e else column for e in shifts)
 
 
 def _add_into(total: dict, terms: Mapping) -> None:

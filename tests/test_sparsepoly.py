@@ -85,6 +85,36 @@ def test_mul_matches_naive_product(pair):
     assert_product(*pair)
 
 
+@st.composite
+def constant_column_pairs(draw):
+    # The longer operand is constant on the columns in `fixed`; the shorter one's
+    # exponents there repeat often, so rows are sometimes certified apart (one pass)
+    # and sometimes meet (row accumulation).
+    width = draw(st.integers(2, 4))
+    variables = tuple(f"v{i}" for i in range(width))
+    fixed = draw(st.sets(st.integers(0, width - 1), min_size=1, max_size=width - 1))
+    level = {i: draw(st.sampled_from((0, 3, 255, 300, -2))) for i in fixed}
+    coeffs = st.one_of(st.integers(-3, 3), st.integers(-10 ** 30, 10 ** 30))
+    free = draw(st.sampled_from([(0, 9), (250, 262), (-5, 5)]))
+    long_exps = st.tuples(*[st.just(level[i]) if i in level else st.integers(*free)
+                            for i in range(width)])
+    short_exps = st.tuples(*[st.sampled_from((-2, 0, 1, 255, 300))] * width)
+    long = draw(st.dictionaries(long_exps, coeffs, min_size=2, max_size=40))
+    short = draw(st.dictionaries(short_exps, coeffs, max_size=8))
+    return Polynomial(variables, long), Polynomial(variables, short)
+
+
+@settings(max_examples=100, deadline=None)
+@given(constant_column_pairs())
+@example((Polynomial(("v0", "v1"), {(0, 0): 1, (1, 0): 2}),
+          Polynomial(("v0", "v1"), {(0, -1): 3, (0, 1): 5})))
+@example((Polynomial(("v0", "v1"), {(0, 255): 1, (4, 255): -1}),
+          Polynomial(("v0", "v1"), {(0, 0): 3, (1, 1): 5})))
+def test_mul_with_constant_columns_matches_naive_product(pair):
+    # assert_product checks both orders and that no zero coefficient is stored
+    assert_product(*pair)
+
+
 def test_mul_cross_terms_cancel():
     a, b = gens(("a", "b"))
     got = assert_product(a + b, a - b)
