@@ -174,7 +174,10 @@ def cmd_verify(args):
         _unused(args, ("p", "s", "n", "l", "r", "mvec"),
                 "is not used with --in: the artifact carries its parameters")
         with open(args.infile, "r", encoding="utf-8") as fh:
-            data = json.load(fh, parse_float=_reject_float)
+            try:
+                data = json.load(fh, parse_float=_reject_float)
+            except RecursionError as exc:   # not a ValueError: it would read as a failed check
+                raise ValueError(f"{args.infile}: JSON nested too deeply to read") from exc
         try:
             params = {k: data[k] for k in ("p", "s", "n", "l", "r")}
             fields = [*params.items(), *(("mvec", m) for m in data.get("mvec") or ())]

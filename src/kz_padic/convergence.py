@@ -27,9 +27,11 @@ component j at the point is
 
 The visible coordinates of every sample lie in the zero disc, so x_i**e
 vanishes mod p**N once e * v_p(x_i) >= N: each row stops there, and the
-balance row at what the right block can reach.  For the series this
-per-slot box and the degree-<=cutoff simplex agree mod p**N whenever
-cutoff >= N - 1, since the extra terms have visible degree above N - 1.
+balance row at what the right block can reach.  The powers depend on the
+point alone, so one table per coordinate serves the series and every
+level.  For the series this per-slot box and the degree-<=cutoff simplex
+agree mod p**N whenever cutoff >= N - 1, since the extra terms have
+visible degree above N - 1; the protocols take cutoff >= N.
 Only the envelope lists indices: those of ``asymptotic.zone_runs`` up to degree s.
 """
 
@@ -172,52 +174,6 @@ def _row_top(l: int, N: int) -> int:
     return (2 * l - 1) * (N - 1) + l
 
 
-def _truncation_rows(M: int, l: int, p: int, N: int) -> tuple:
-    """Slot rows binom(M, e) and binom(M-1, e) of the level-M truncation, mod p**N."""
-    m, top = p ** N, min(M, _row_top(l, N))
-    return tuple([c % m for c in binomial_row(t, 0, top).values()] for t in (M, M - 1))
-
-
-def _series_rows(p: int, l: int, N: int) -> tuple:
-    """Slot rows binom(-1/2, e) and binom(-3/2, e) of the limit series, mod p**N."""
-    return binom_half_rows(_row_top(l, N), p, N)
-
-
-def _slot_rows(n: int, l: int, rows: tuple, point, p: int, N: int) -> tuple:
-    """The plain and distinguished slot rows at a point, and the slots' x.
-
-    ``point`` holds x_2..x_{n-1}; ``rows`` the plain and distinguished
-    slot coefficients c(e), residues mod p**N (``_truncation_rows`` or
-    ``_series_rows``).  Row i holds c(e) x_i**e mod p**N, with x = 1 on the
-    balance slot, and is cut where x_i**e vanishes mod p**N.
-    """
-    plain, special = rows
-    m = p ** N
-    block = n - 2 * l
-    top = len(plain) - 1
-    xs = [v.residue for v in point]
-    caps = []
-    for v in point:
-        val = v.norm_exponent()
-        if val == 0:
-            raise ValueError("zone point outside the zero disc")
-        caps.append(min(top, -(-N // val) - 1))
-    caps.insert(block - 1, min(top, sum(caps[block - 1:]) + l))
-    xs.insert(block - 1, 1)
-    plain_rows, special_rows = [], []
-    for i, (x, cap) in enumerate(zip(xs, caps)):
-        if i == block - 1:              # the balance slot: x = 1, the rows as they are
-            plain_rows.append(plain[:cap + 1])
-            special_rows.append(special[:cap + 1])
-            continue
-        powers = [1]
-        for _ in range(cap):
-            powers.append(powers[-1] * x % m)
-        plain_rows.append([c * w % m for c, w in zip(plain, powers)])
-        special_rows.append([c * w % m for c, w in zip(special, powers)])
-    return plain_rows, special_rows, xs
-
-
 def _block_sums(block: int, l: int, plain_rows, special_rows, m: int) -> list:
     """Component j's sum_r R(r) L(r + offset), j = 1..n, up to multiples of m.
 
@@ -279,30 +235,47 @@ def _block_sums(block: int, l: int, plain_rows, special_rows, m: int) -> list:
     return out
 
 
-def _zone_values(n: int, l: int, rows: tuple, point, p: int, N: int) -> list:
-    """Residues mod p**N of the n component sums at a point of the zero disc:
-    component j is the x_{j+1}-scaled inner product of the block products of
-    the slot rows (see the module docstring)."""
+def _zone_sums(p: int, n: int, l: int, s_max: int, points, N: int) -> list:
+    """Residues mod p**N of the n component sums at each point of the zero
+    disc: entry 0 lists them per point for the series, entry s for the
+    level-s truncation, s = 1..s_max.
+
+    ``points`` hold x_2..x_{n-1}.  Each point's power tables x_i**e mod p**N
+    are built once, cut where x_i**e vanishes mod p**N, and shared by every
+    family: a family's slot row is its coefficients c(e) times the powers,
+    with x = 1 on the balance slot.  Component j is the x_{j+1}-scaled inner
+    product of the block products of the slot rows (see the module docstring).
+    """
     m = p ** N
     block = n - 2 * l
-    plain_rows, special_rows, xs = _slot_rows(n, l, rows, point, p, N)
-    sums = _block_sums(block, l, plain_rows, special_rows, m)
-    return [(value * xs[j - 1] if j < block else value) % m
-            for j, value in enumerate(sums, 1)]
-
-
-def _truncation_sums(n: int, l: int, M: int, points, p: int, N: int) -> list:
-    """Per point, the residues of the level-M truncation's n component sums."""
-    rows = _truncation_rows(M, l, p, N)
-    return [_zone_values(n, l, rows, pt, p, N) for pt in points]
-
-
-def _series_sums(n: int, l: int, cutoff: int, points, p: int, N: int) -> list:
-    """Per point, the residues of the series' n component sums up to visible degree cutoff."""
-    if cutoff < N - 1:
-        raise ValueError(f"series cutoff {cutoff} below N - 1 = {N - 1}")
-    rows = _series_rows(p, l, N)
-    return [_zone_values(n, l, rows, pt, p, N) for pt in points]
+    top = _row_top(l, N)
+    families = [binom_half_rows(top, p, N)]     # binom(-1/2, e) and binom(-3/2, e)
+    for s in range(1, s_max + 1):               # binom(M, e) and binom(M-1, e)
+        M = (p ** s - 1) // 2
+        families.append([[c % m for c in binomial_row(t, 0, min(M, top)).values()]
+                         for t in (M, M - 1)])
+    out = [[] for _ in families]
+    for point in points:
+        tables = []
+        for v in point:
+            val = v.norm_exponent()
+            if val == 0:
+                raise ValueError("zone point outside the zero disc")
+            powers = [1]
+            for _ in range(min(top, -(-N // val) - 1)):
+                powers.append(powers[-1] * v.residue % m)
+            tables.append(powers)
+        for (plain, special), sums in zip(families, out):
+            plain_rows = [[c * w % m for c, w in zip(plain, powers)] for powers in tables]
+            special_rows = [[c * w % m for c, w in zip(special, powers)] for powers in tables]
+            # the balance slot: x = 1, the rows up to what the right block can reach
+            cap = min(len(plain) - 1, sum(len(row) - 1 for row in plain_rows[block - 1:]) + l)
+            plain_rows.insert(block - 1, plain[:cap + 1])
+            special_rows.insert(block - 1, special[:cap + 1])
+            values = _block_sums(block, l, plain_rows, special_rows, m)
+            sums.append([(value * point[j - 1].residue if j < block else value) % m
+                         for j, value in enumerate(values, 1)])
+    return out
 
 
 def zone_muladds(n: int, l: int, rows_top: int, N: int) -> int:
@@ -434,15 +407,14 @@ def converge_T_n3(p: int, s_max: int, count: int, seed: int, N: int) -> Check:
 
     cutoff = max((p ** s_max - 1) // 2, N)  # discarded tail sits below precision
     points = [(u2,) for u2 in u2s]
-    series_vals = _series_sums(3, 1, cutoff, points, p, N)
+    series_vals, *level_vals = _zone_sums(p, 3, 1, s_max, points, N)
     const_series = series_constant_vector(p, 3, 1, N)
     scales = [(u1 * hensel_sqrt(u1, 1)).inverse().residue for u1 in u1s]
     ones = [1] * count
 
-    for s in range(1, s_max + 1):
+    for s, trunc_vals in enumerate(level_vals, 1):
         inst = KZInstance(3, ModulusContext(p, s))
         M = inst.ctx.half
-        trunc_vals = _truncation_sums(3, 1, M, points, p, N)
         envelope = difference_envelope(p, s, 3, 1, cutoff, False)
 
         # truncation vs series, no prefactor
@@ -478,12 +450,11 @@ def converge_Q_general(p: int, n: int, l: int, s_max: int, count: int, seed: int
     points = [tuple(col[k] for col in rest) for k in range(count)]
 
     cutoff = max((p ** s_max - 1) // 2, N)  # discarded tail sits below precision
-    series_vals = _series_sums(n, l, cutoff, points, p, N)
+    series_vals, *level_vals = _zone_sums(p, n, l, s_max, points, N)
     scales = [hensel_sqrt(x1, 1).inverse().residue for x1 in x1s]
 
-    for s in range(1, s_max + 1):
+    for s, trunc_vals in enumerate(level_vals, 1):
         M = (p ** s - 1) // 2
-        trunc_vals = _truncation_sums(n, l, M, points, p, N)
         bound = difference_envelope(p, s, n, l, cutoff, True)
         rows.append(_phase_row(s, "J-form", bound, p, N, trunc_vals, series_vals,
                                [pow(x1.residue, M, p ** N) for x1 in x1s], scales))
@@ -493,6 +464,11 @@ def converge_Q_general(p: int, n: int, l: int, s_max: int, count: int, seed: int
 
 
 # -- disjointness of the n = 5 convergence domains ---------------------------------------
+
+def probe_cost(p: int) -> int:
+    """Work of the probe's Legendre table: p symbols of about bitlen(p) modular squarings."""
+    return p * p.bit_length() * digits(p.bit_length())
+
 
 def disjoint_domain_probe(p: int, count: int, seed: int) -> Check:
     """Membership predicates of the two n=5 convergence domains never overlap.
@@ -516,6 +492,7 @@ def disjoint_domain_probe(p: int, count: int, seed: int) -> Check:
     ModulusContext(p, 1)  # validates that p is an odd prime
     if count < 1:
         raise ValueError(f"need count >= 1, got {count}: the probe would pass vacuously")
+    desk_check(probe_cost(p), "the domain probe's Legendre table")
     bits = random.Random(seed).getrandbits
     # chi[r % p] is the Legendre symbol of the unit r + 1; 0 marks p | r + 1
     chi = [legendre(r + 1, p) for r in range(p)]

@@ -155,12 +155,12 @@ class Polynomial:
         coefficients are nonzero, because they are products of nonzero
         integers.
 
-        When the shorter operand's monomials are pairwise distinct on the
-        columns where the longer operand is constant, rows differ there, so no
-        two rows meet and the product is built in one pass over all rows
-        (every step of a product of factors in new variables).  Otherwise a
-        row whose keys are all new is inserted as it is, and only a row that
-        meets earlier keys is accumulated term by term.
+        All rows make one stream of keys and one of coefficients.  When the
+        shorter operand's monomials are pairwise distinct on the columns where
+        the longer operand is constant, rows differ there, so no two rows meet
+        and the streams go into a dict as they are (every step of a product of
+        factors in new variables).  Otherwise the stream is accumulated term
+        by term, and a sum that cancels is deleted.
         """
         if isinstance(other, int):
             return self.scale(other)
@@ -176,24 +176,19 @@ class Polynomial:
         columns = [bytes(col) if 0 <= min(col) and max(col) < 256 else col
                    for col in zip(*big)]
         fixed = [i for i, col in enumerate(columns) if col.count(col[0]) == len(col)]
+        terms = zip(zip(*map(_shifted, columns, zip(*small))), chain.from_iterable(
+            map(mul, big.values(), repeat(c2)) for c2 in small.values()))
         if len(small) < 2 or fixed and len(set(map(itemgetter(*fixed), small))) == len(small):
-            out.terms = dict(zip(zip(*map(_shifted, columns, zip(*small))), chain.from_iterable(
-                map(mul, big.values(), repeat(c2)) for c2 in small.values())))
+            out.terms = dict(terms)
             return out
         prod: dict = {}
-        for m2, c2 in small.items():
-            keys = list(zip(*[map(add, col, repeat(e)) if e else col
-                              for col, e in zip(columns, m2)]))
-            vals = map(mul, big.values(), repeat(c2))
-            if prod.keys().isdisjoint(keys):
-                prod.update(zip(keys, vals))
-                continue
-            for key, val in zip(keys, vals):
-                total = prod.get(key, 0) + val
-                if total:
-                    prod[key] = total
-                else:
-                    del prod[key]
+        get = prod.get
+        for key, val in terms:
+            total = get(key, 0) + val
+            if total:
+                prod[key] = total
+            else:
+                del prod[key]
         out.terms = prod
         return out
 
@@ -571,11 +566,17 @@ def coefficient_bits(exponents, k: int) -> int:
 
 # -- modulus context ----------------------------------------------------------
 
+def primality_cost(m: int) -> int:
+    """Work of ``_is_prime(m)``: a trial division by each odd d <= sqrt(m)."""
+    return math.isqrt(m) // 2 * digits(m.bit_length())
+
+
 def _is_prime(m: int) -> bool:
     if m < 2:
         return False
     if m % 2 == 0:
         return m == 2
+    desk_check(primality_cost(m), f"the primality test of p={m}")
     d = 3
     while d * d <= m:
         if m % d == 0:

@@ -12,10 +12,16 @@ import test_golden
 from kz_padic import asymptotic, cli, sparsepoly
 from kz_padic.asymptotic import zone_request_cost
 from kz_padic.cli import build_parser, main
-from kz_padic.convergence import classic_cost, convergence_cost
+from kz_padic.convergence import classic_cost, convergence_cost, probe_cost
 from kz_padic.kz import KZInstance
 from kz_padic.solutions import validate_mvec
-from kz_padic.sparsepoly import DESK_LIMIT, DeskEnvelopeError, ModulusContext, slice_cost
+from kz_padic.sparsepoly import (
+    DESK_LIMIT,
+    DeskEnvelopeError,
+    ModulusContext,
+    primality_cost,
+    slice_cost,
+)
 
 
 def run(argv):
@@ -288,6 +294,19 @@ def test_malformed_artifact_is_usage_error(tamper, message, tmp_path, capsys):
     assert message in capsys.readouterr().err
 
 
+def test_deeply_nested_artifact_is_usage_error(tmp_path, capsys):
+    # json.load raises RecursionError, not a ValueError, which read as a failed check
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 200_000 + "]" * 200_000)
+    start = time.perf_counter()
+    with pytest.raises(SystemExit) as err:
+        run(["verify", "--in", deep])
+    assert err.value.code == 2
+    assert time.perf_counter() - start < 1.0
+    message = capsys.readouterr().err
+    assert str(deep) in message and "nested too deeply" in message
+
+
 @pytest.mark.parametrize("params,key,value", [
     ((5, 1, 5, 1, 1), "l", 2),
     ((5, 1, 5, 1, 1), "mvec", [7, 2, 2, 2, 2]),
@@ -451,6 +470,24 @@ def test_converge_refuses_a_p_that_is_not_an_odd_prime(p, capsys):
     assert err.value.code == 2
     assert time.perf_counter() - start < 1.0
     assert "not an odd prime" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv,what", [
+    (["gen", "--p", 999999999999999989, "--s", 1, "--n", 3, "--l", 1], "primality test"),
+    (["converge", "--classic", "--p", 1000000000000000000000007, "--smax", 1],
+     "primality test"),
+    (["converge", "--p", 10000019, "--n", 5, "--l", 1, "--smax", 1], "Legendre table"),
+])
+def test_work_before_the_main_guard_is_refused_at_once(argv, what, capsys):
+    # a primality test by trial division and the n = 5 probe's Legendre table
+    # each ran for more than 18 s before the desk budget refused them
+    start = time.perf_counter()
+    with pytest.raises(SystemExit) as err:
+        run(argv)
+    assert err.value.code == 2
+    assert time.perf_counter() - start < 1.0
+    message = capsys.readouterr().err
+    assert what in message and "above the desk budget" in message
 
 
 @pytest.mark.parametrize("argv", [
@@ -635,6 +672,8 @@ def request_cost(argv):
     """The largest work the program checks against the desk budget for a request,
     from the closed-form cost functions alone: nothing is built or enumerated."""
     args = build_parser().parse_args([str(a) for a in argv])
+    if args.p is not None and primality_cost(args.p) > DESK_LIMIT:
+        return primality_cost(args.p)           # every command tests p before its work
     if args.command in ("gen", "verify"):
         if getattr(args, "infile", None):
             return 0                            # the artifact carries its vector
@@ -661,8 +700,9 @@ def request_cost(argv):
             return float("inf")
     if args.classic:
         return sum(classic_cost(args.p or 5, s) for s in range(1, (args.smax or 3) + 1))
-    return convergence_cost(args.p, args.n, args.l, args.smax, args.samples or 50,
+    cost = convergence_cost(args.p, args.n, args.l, args.smax, args.samples or 50,
                             args.prec or args.smax + 8)
+    return max(cost, probe_cost(args.p)) if args.n == 5 else cost
 
 
 def _benchmark_requests():
@@ -705,6 +745,11 @@ REFUSED = [                                     # the argv of every refusal test
     ["converge", "--p", 5, "--n", 3, "--l", 1, "--smax", 3, "--prec", 3000],
     ["converge", "--classic", "--p", 7, "--smax", 6],
     ["converge", "--classic", "--p", 31, "--smax", 4],
+    # trial division to sqrt(p): each ran past 20 s before any guard
+    ["gen", "--p", 999999999999999989, "--s", 1, "--n", 3, "--l", 1],
+    ["converge", "--classic", "--p", 1000000000000000000000007, "--smax", 1],
+    # the n = 5 domain probe's table of p Legendre symbols: 18 s
+    ["converge", "--p", 10000019, "--n", 5, "--l", 1, "--smax", 1],
 ]
 
 ADMITTED = [                                    # README examples and the runs tests make

@@ -121,6 +121,13 @@ def walk_series_sums(n, l, cutoff, points, p, N):
     return walk_values(series_polys(p, n, l, cutoff, N), points, p, N)
 
 
+def walk_zone_sums(p, n, l, s_max, points, N):
+    """``_zone_sums`` by the index walk: the series at the converge cutoff, then levels 1..s_max."""
+    cutoff = max((p ** s_max - 1) // 2, N)
+    return [walk_series_sums(n, l, cutoff, points, p, N)] + [
+        walk_truncation_sums(n, l, (p ** s - 1) // 2, points, p, N) for s in range(1, s_max + 1)]
+
+
 def walk_envelope(p, s, n, l, cutoff, with_prefactor):
     """The envelope over every stored index of the truncation and the series."""
     trunc = truncated_expansion(KZInstance(n, ModulusContext(p, s)), l)
@@ -137,8 +144,7 @@ def walk_envelope(p, s, n, l, cutoff, with_prefactor):
 
 
 def use_index_walk(monkeypatch):
-    monkeypatch.setattr(convergence, "_truncation_sums", walk_truncation_sums)
-    monkeypatch.setattr(convergence, "_series_sums", walk_series_sums)
+    monkeypatch.setattr(convergence, "_zone_sums", walk_zone_sums)
     monkeypatch.setattr(convergence, "difference_envelope", walk_envelope)
 
 
@@ -301,11 +307,11 @@ def test_zone_sums_match_index_walk(p, s, n, l):
     # a coordinate of valuation 2 and an exact zero shorten their rows
     points.append(tuple(PAdic(p, N, p * p * (i + 1)) for i in range(n - 2)))
     points.append(tuple(PAdic(p, N, 0 if i % 2 else p) for i in range(n - 2)))
-    assert (convergence._truncation_sums(n, l, M, points, p, N)
-            == walk_truncation_sums(n, l, M, points, p, N))
+    series, *levels = convergence._zone_sums(p, n, l, s, points, N)
+    for level, sums in enumerate(levels, 1):
+        assert sums == walk_truncation_sums(n, l, (p ** level - 1) // 2, points, p, N)
     for cutoff in (N - 1, N + 2):
-        assert (convergence._series_sums(n, l, cutoff, points, p, N)
-                == walk_series_sums(n, l, cutoff, points, p, N))
+        assert series == walk_series_sums(n, l, cutoff, points, p, N)
 
 
 @pytest.mark.slow
@@ -314,7 +320,7 @@ def test_genus_3_level_2_sums_match_index_walk(l, monkeypatch):
     p, s, n, N = 7, 2, 7, 9
     points = zone_points(p, n, N, 2, 5)
     M = (p ** s - 1) // 2
-    fast = convergence._truncation_sums(n, l, M, points, p, N)
+    fast = convergence._zone_sums(p, n, l, s, points, N)[s]
     # the oracle expands the whole truncation, above the desk budget at (7, 2, 7)
     with monkeypatch.context() as m:
         m.setattr(sparsepoly, "DESK_LIMIT", 4 * DESK_LIMIT)
@@ -339,19 +345,16 @@ def zone_cases(draw):
 @given(zone_cases())
 def test_zone_sums_match_index_walk_at_random_points(case):
     p, s, n, l, N, point = case
-    M = (p ** s - 1) // 2
-    assert (convergence._truncation_sums(n, l, M, [point], p, N)
-            == walk_truncation_sums(n, l, M, [point], p, N))
-    assert (convergence._series_sums(n, l, N - 1, [point], p, N)
-            == walk_series_sums(n, l, N - 1, [point], p, N))
+    series, *levels = convergence._zone_sums(p, n, l, s, [point], N)
+    assert series == walk_series_sums(n, l, N - 1, [point], p, N)
+    for level, sums in enumerate(levels, 1):
+        assert sums == walk_truncation_sums(n, l, (p ** level - 1) // 2, [point], p, N)
 
 
 def test_zone_sums_reject_points_off_the_zero_disc():
     unit = (PAdic(5, 6, 1), PAdic(5, 6, 5), PAdic(5, 6, 0))
     with pytest.raises(ValueError, match="zero disc"):
-        convergence._truncation_sums(5, 1, 2, [unit], 5, 6)
-    with pytest.raises(ValueError, match="cutoff"):
-        convergence._series_sums(5, 1, 4, [unit[1:] + unit[1:2]], 5, 6)
+        convergence._zone_sums(5, 5, 1, 1, [unit], 6)
 
 
 @pytest.mark.parametrize("p,s,n,l", GRID_CASES + GENUS_3)
@@ -373,20 +376,20 @@ def _mul(a: list, b: list, m: int) -> list:
     return [c % m for c in out]
 
 
-def _product(rows, m: int) -> list:
-    out = [1]
-    for row in rows:
-        out = _mul(out, row, m)
-    return out
-
-
-def schoolbook_block_sums(block, l, plain_rows, special_rows, m):
-    """Component j's sum_r R(r) L(r + offset), the block products convolved mod m."""
+def schoolbook_block_sums(block, l, plain_rows, special_rows, m, tally=None):
+    """Component j's sum_r R(r) L(r + offset), the block products convolved mod m;
+    the multiply-adds of the products are appended to ``tally``."""
     n = len(plain_rows) + 1
+    muladds = 0
 
     def block_product(slots, j):
-        return _product([special_rows[i] if i == j - 1 else plain_rows[i]
-                         for i in slots], m)
+        nonlocal muladds
+        out = [1]
+        for i in slots:
+            row = special_rows[i] if i == j - 1 else plain_rows[i]
+            muladds += len(out) * len(row)
+            out = _mul(out, row, m)
+        return out
 
     left, right = range(block), range(block, n - 1)
     L, R = block_product(left, 0), block_product(right, 0)
@@ -397,16 +400,17 @@ def schoolbook_block_sums(block, l, plain_rows, special_rows, m):
         else:
             lhs, rhs, offset = L, (block_product(right, j) if j < n else R), l
         out.append(sum(c * d for c, d in zip(rhs, lhs[offset:])))
+    if tally is not None:
+        tally.append(muladds)
     return out
 
 
-def schoolbook_zone_values(n, l, rows, point, p, N):
-    m = p ** N
-    block = n - 2 * l
-    plain_rows, special_rows, xs = convergence._slot_rows(n, l, rows, point, p, N)
-    sums = schoolbook_block_sums(block, l, plain_rows, special_rows, m)
-    return [(value * xs[j - 1] if j < block else value) % m
-            for j, value in enumerate(sums, 1)]
+def schoolbook_zone_sums(p, n, l, s_max, point, N, tally=None):
+    """``_zone_sums`` at one point, its slot rows through ``schoolbook_block_sums``."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(convergence, "_block_sums",
+                      functools.partial(schoolbook_block_sums, tally=tally))
+        return convergence._zone_sums(p, n, l, s_max, [point], N)
 
 
 NL = [(3, 1), (5, 1), (5, 2), (7, 1), (7, 2), (7, 3)]
@@ -469,39 +473,31 @@ def test_packed_block_sums_match_schoolbook(case):
 
 
 @settings(max_examples=100, deadline=None)
-@given(zone_cases(), st.booleans())
-def test_zone_values_match_schoolbook(case, series):
+@given(zone_cases())
+# level 1 (M = 2) stops below the row top, so its rows are shorter than the
+# series' and level 2's at the same point; valuations 2 and 3 and an exact zero
+@example((5, 2, 5, 1, 5, (PAdic(5, 5, 25 * 3), PAdic(5, 5, 0), PAdic(5, 5, 125))))
+@example((5, 2, 5, 2, 4, (PAdic(5, 4, 0), PAdic(5, 4, 25 * 2), PAdic(5, 4, 5))))
+def test_zone_values_match_schoolbook(case):
     p, s, n, l, N, point = case
-    rows = (convergence._series_rows(p, l, N) if series
-            else convergence._truncation_rows((p ** s - 1) // 2, l, p, N))
-    assert (convergence._zone_values(n, l, rows, point, p, N)
-            == schoolbook_zone_values(n, l, rows, point, p, N))
+    assert (convergence._zone_sums(p, n, l, s, [point], N)
+            == schoolbook_zone_sums(p, n, l, s, point, N))
 
 
 @pytest.mark.parametrize("n,l", NL)
-def test_muladd_count_is_exact_at_valuation_one(monkeypatch, n, l):
-    # zone_muladds counts the schoolbook products that the packed ones replace
+def test_muladd_count_is_exact_at_valuation_one(n, l):
+    # zone_muladds counts the schoolbook products that the packed ones replace:
+    # the series, then levels 1 and 2 (M = 3 and 24)
     p, N = 7, 9
-    count = 0
-    mul = _mul
-
-    def counted(a, b, m):
-        nonlocal count
-        count += len(a) * len(b)
-        return mul(a, b, m)
-
-    monkeypatch.setitem(globals(), "_mul", counted)
-    point = tuple(PAdic(p, N, p * (i + 2)) for i in range(n - 2))
-    for M, rows in ((3, convergence._truncation_rows(3, l, p, N)),
-                    (24, convergence._truncation_rows(24, l, p, N)),
-                    (None, convergence._series_rows(p, l, N))):
-        count = 0
-        schoolbook_zone_values(n, l, rows, point, p, N)
-        assert count == zone_muladds(n, l, len(rows[0]) - 1, N), M
+    tops = [convergence._row_top(l, N)] + [min(M, convergence._row_top(l, N)) for M in (3, 24)]
+    tally = []
+    schoolbook_zone_sums(p, n, l, 2, tuple(PAdic(p, N, p * (i + 2)) for i in range(n - 2)),
+                         N, tally)
+    assert tally == [zone_muladds(n, l, top, N) for top in tops]
     # a coordinate of higher valuation only shortens its row
-    count = 0
-    schoolbook_zone_values(n, l, rows, (PAdic(p, N, p ** 3),) * (n - 2), p, N)
-    assert count < zone_muladds(n, l, len(rows[0]) - 1, N)
+    tally = []
+    schoolbook_zone_sums(p, n, l, 2, (PAdic(p, N, p ** 3),) * (n - 2), N, tally)
+    assert all(count < zone_muladds(n, l, top, N) for count, top in zip(tally, tops))
 
 
 def test_desk_guard_refuses_before_sampling(monkeypatch):
