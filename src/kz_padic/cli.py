@@ -287,7 +287,7 @@ def cmd_converge(args):
     artifact = {"schema": SCHEMA, "kind": "converge", **report.to_json()}
     ok = report.passed
     if args.n == 5:
-        probe = disjoint_domain_probe(args.p, 10_000, seed)
+        probe = disjoint_domain_probe()
         artifact["disjoint_domains"] = probe.to_json()
         ok = ok and probe.passed
     return (0 if ok else 1), artifact

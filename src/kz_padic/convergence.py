@@ -37,6 +37,7 @@ Only the envelope lists indices: those of ``asymptotic.zone_runs`` up to degree 
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -380,16 +381,18 @@ def least_precision(s_max: int) -> int:
     return s_max + 3
 
 
-def _check_run(p: int, n: int, l: int, s_max: int, count: int, N: int) -> None:
+def _check_run(p: int, n: int, l: int, s_max: int, count: int, N: int) -> KZInstance:
     """Refuse, before any work, a run with no rows or no samples (it would pass
-    vacuously), bad parameters, or work above the desk budget."""
+    vacuously), bad parameters, or work above the desk budget; else the
+    instance at level s_max, whose ``level`` gives the others."""
     if s_max < 1 or count < 1:
         raise ValueError(f"need s_max >= 1 and count >= 1, got {s_max} and {count}")
     if N < least_precision(s_max):
         raise PrecisionError(f"N={N} too small for s_max={s_max}")
     check_index(n, l)
-    KZInstance(n, ModulusContext(p, 1))     # an odd prime p >= n and an odd n >= 3
+    inst = KZInstance(n, ModulusContext(p, s_max))  # an odd prime p >= n and an odd n >= 3
     desk_check(convergence_cost(p, n, l, s_max, count, N), "convergence run")
+    return inst
 
 
 def converge_T_n3(p: int, s_max: int, count: int, seed: int, N: int) -> Check:
@@ -400,7 +403,7 @@ def converge_T_n3(p: int, s_max: int, count: int, seed: int, N: int) -> Check:
     u_1**(-3/2) via the Hensel square root on the branch 1.  At n = 3 the
     sums carry no u_1 and their u_2 is the x_2 of the zone sums.
     """
-    _check_run(p, 3, 1, s_max, count, N)
+    top = _check_run(p, 3, 1, s_max, count, N)
     rows, constant_term_vals = [], {}
     u2s = sample_disc(p, 0, count, seed, N)
     u1s = sample_disc(p, 1, count, seed + 1, N)
@@ -413,7 +416,7 @@ def converge_T_n3(p: int, s_max: int, count: int, seed: int, N: int) -> Check:
     ones = [1] * count
 
     for s, trunc_vals in enumerate(level_vals, 1):
-        inst = KZInstance(3, ModulusContext(p, s))
+        inst = top.level(s)
         M = inst.ctx.half
         envelope = difference_envelope(p, s, 3, 1, cutoff, False)
 
@@ -465,69 +468,58 @@ def converge_Q_general(p: int, n: int, l: int, s_max: int, count: int, seed: int
 
 # -- disjointness of the n = 5 convergence domains ---------------------------------------
 
-def probe_cost(p: int) -> int:
-    """Work of the probe's Legendre table: p symbols of about bitlen(p) modular squarings."""
-    return p * p.bit_length() * digits(p.bit_length())
+# A cell is (w1, w2, w3, w4, c1, c3): w_i = val(u_i) + 2 for valuations in
+# [-2, 2], and c_i = chi(a_i), the Legendre symbol of u_i's unit a_i.  With
+# w = val + 2, val(u1**3 u2**2 u3) = 0 is 3 w1 + 2 w2 + w3 = 12, val >= 1 is
+# w >= 3, and a sum of k valuations >= 1 is a sum of w >= 2k + 1.
+
+def _in_first(w1: int, w2: int, w3: int, w4: int, c1: int, c3: int) -> bool:
+    """u1**3 u2**2 u3 a unit square; u3, u4 and u2 u3 in the zero disc."""
+    return (w3 >= 3 and w4 >= 3 and w2 + w3 >= 5
+            and 3 * w1 + 2 * w2 + w3 == 12 and c1 == c3)
 
 
-def disjoint_domain_probe(p: int, count: int, seed: int) -> Check:
+def _in_second(w1: int, w2: int, w3: int, w4: int, c1: int, c3: int) -> bool:
+    """u1 a unit square; u2, u2 u3 and u2 u3 u4 in the zero disc."""
+    return (w1 == 2 and c1 == 1 and w2 >= 3
+            and w2 + w3 >= 5 and w2 + w3 + w4 >= 7)
+
+
+def disjoint_domain_probe() -> Check:
     """Membership predicates of the two n=5 convergence domains never overlap.
 
-    Points are sampled with valuations in [-2, 2] per coordinate.  The first
-    domain needs u_1**3 u_2**2 u_3 to be a unit square while u_3 sits in the
-    zero disc; the second needs u_1 a unit square with u_2 in the zero disc.
-    Jointly they would force val(u_3) = -2 val(u_2) <= -2 and val(u_3) >= 1
-    at once.  A pass needs points in both domains and none in their
-    intersection.  The domains read each unit a_i only through its Legendre
-    symbol chi(a_i), and u_2 enters squared, so they need chi(a_1) chi(a_3)
-    = 1 and chi(a_1) = 1: a coordinate is kept as its valuation and chi.
+    The first domain needs u_1**3 u_2**2 u_3 to be a unit square while u_3
+    sits in the zero disc; the second needs u_1 a unit square with u_2 in
+    the zero disc.  Jointly they would force val(u_3) = -2 val(u_2) <= -2
+    and val(u_3) >= 1 at once.  A pass needs cells in both domains and none
+    in their intersection.
 
-    Stream contract: a coordinate is val = randrange(-2, 3) and
-    unit = randrange(1, p**4), redrawn while p | unit, from
-    random.Random(seed).  The draws spell out randrange's own rule --
-    randrange(a, b) is a + r with r = getrandbits((b - a).bit_length()),
-    redrawn while r >= b - a -- so the Mersenne Twister stream, hence every
-    sampled point and count, is the one randrange would give.
+    The predicates read each coordinate only through its valuation in
+    [-2, 2] and the Legendre symbol chi of its unit, and of the symbols
+    only chi(a_1) and chi(a_3): chi(a_2) enters squared and chi(a_4) not at
+    all.  So every cell they can tell apart is enumerated, 5**4 valuation
+    patterns times 2**2 symbol pairs, 2,500 cells.  Every odd p has both
+    square classes, so every cell holds points for every p and the answer
+    does not depend on p.  ``first_overlap`` gives the first cell in both
+    domains as its valuations and symbols, or None.
     """
-    ModulusContext(p, 1)  # validates that p is an odd prime
-    if count < 1:
-        raise ValueError(f"need count >= 1, got {count}: the probe would pass vacuously")
-    desk_check(probe_cost(p), "the domain probe's Legendre table")
-    bits = random.Random(seed).getrandbits
-    # chi[r % p] is the Legendre symbol of the unit r + 1; 0 marks p | r + 1
-    chi = [legendre(r + 1, p) for r in range(p)]
-    unit_width = p ** 4 - 1
-    unit_bits = unit_width.bit_length()
     first = second = both = 0
-    for start in range(0, count, 256):      # bounded chunks of points
-        draws = []                          # val + 2 and chi, coordinate after coordinate
-        put = draws.append
-        for _ in range(4 * min(256, count - start)):
-            w = bits(3)
-            while w >= 5:
-                w = bits(3)
-            # randrange's redraw (r >= width) and the p | unit redraw each take
-            # one fresh draw of the same width, so one loop serves both
-            r = bits(unit_bits)
-            while r >= unit_width or not (c := chi[r % p]):
-                r = bits(unit_bits)
-            put(w)
-            put(c)
-        # w = val + 2: val(u1**3 u2**2 u3) = 0 is 3 w1 + 2 w2 + w3 = 12, val >= 1
-        # is w >= 3, and a sum of k valuations >= 1 is a sum of w >= 2k + 1
-        for w1, c1, w2, _, w3, c3, w4, _ in zip(*[iter(draws)] * 8):
-            p1 = (w3 >= 3 and w4 >= 3 and w2 + w3 >= 5
-                  and 3 * w1 + 2 * w2 + w3 == 12 and c1 == c3)
-            p2 = (w1 == 2 and c1 == 1 and w2 >= 3
-                  and w2 + w3 >= 5 and w2 + w3 + w4 >= 7)
-            first += p1
-            second += p2
-            both += p1 and p2
+    overlap = None
+    for cell in itertools.product(*[range(5)] * 4, (1, -1), (1, -1)):
+        p1 = _in_first(*cell)
+        p2 = _in_second(*cell)
+        first += p1
+        second += p2
+        if p1 and p2:
+            both += 1
+            if overlap is None:
+                overlap = {"val": [w - 2 for w in cell[:4]], "chi": list(cell[4:])}
     reason = ("first domain forces val(u2^2 u3) = 0 with val(u1) = 0, "
               "second forces val(u2) >= 1, hence val(u3) <= -2, "
               "contradicting val(u3) >= 1 in the first")
-    return Check(passed=both == 0 and first > 0 and second > 0, points=count,
-                 in_first=first, in_second=second, in_both=both, reason=reason)
+    return Check(passed=both == 0 and first > 0 and second > 0, cells=5 ** 4 * 2 ** 2,
+                 in_first=first, in_second=second, in_both=both, first_overlap=overlap,
+                 reason=reason)
 
 
 # -- the classical one-variable partial sums ----------------------------------------------

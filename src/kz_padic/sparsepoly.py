@@ -612,9 +612,12 @@ class ModulusContext:
         return pow(2, -1, self.modulus)
 
     def level(self, r: int) -> "ModulusContext":
+        """The frame of the same p at level r, without testing p again."""
         if not 1 <= r <= self.s:
             raise ValueError(f"level {r} outside 1..{self.s}")
-        return ModulusContext(self.p, r)
+        ctx = object.__new__(ModulusContext)
+        ctx.p, ctx.s = self.p, r
+        return ctx
 
     def __eq__(self, other) -> bool:
         return isinstance(other, ModulusContext) and (self.p, self.s) == (other.p, other.s)

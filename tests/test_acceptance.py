@@ -202,11 +202,11 @@ def test_criterion_7_convergence_n5():
         report = converge_Q_general(5, 5, l, 2, 50, 0, 10)
         if not report.passed:
             ok = False
-    probe = disjoint_domain_probe(5, 10_000, 0)
+    probe = disjoint_domain_probe()
     if not probe.passed or probe.in_first == 0 or probe.in_second == 0:
         ok = False
     _report("criterion-7 p-adic convergence n=5 + disjoint domains", ok,
-            f"overlap {probe.in_both}/10000")
+            f"overlap {probe.in_both}/{probe.cells} cells")
     assert ok
 
 

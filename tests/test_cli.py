@@ -12,7 +12,7 @@ import test_golden
 from kz_padic import asymptotic, cli, sparsepoly
 from kz_padic.asymptotic import zone_request_cost
 from kz_padic.cli import build_parser, main
-from kz_padic.convergence import classic_cost, convergence_cost, probe_cost
+from kz_padic.convergence import classic_cost, convergence_cost
 from kz_padic.kz import KZInstance
 from kz_padic.solutions import validate_mvec
 from kz_padic.sparsepoly import (
@@ -472,15 +472,55 @@ def test_converge_refuses_a_p_that_is_not_an_odd_prime(p, capsys):
     assert "not an odd prime" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("p", [1, 2, 4, 9])
+def test_converge_n5_refuses_a_p_that_is_not_an_odd_prime(p, capsys):
+    # the n = 5 request, which carries the domain probe, tests p before any work
+    with pytest.raises(SystemExit) as err:
+        run(["converge", "--p", p, "--n", 5, "--l", 1, "--smax", 1])
+    assert err.value.code == 2
+    assert "not an odd prime" in capsys.readouterr().err
+
+
+def test_converge_n5_at_a_large_prime_ends_at_once(tmp_path):
+    # the domain probe enumerates cells, not p Legendre symbols (18 s at this p)
+    start = time.perf_counter()
+    assert run(["converge", "--p", 10000019, "--n", 5, "--l", 1, "--smax", 1,
+                "--out", tmp_path / "conv.json"]) == 0
+    assert time.perf_counter() - start < 1.0
+    assert json.loads((tmp_path / "conv.json").read_text())["disjoint_domains"]["pass"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["converge", "--p", 5, "--n", 3, "--l", 1, "--smax", 4],
+    ["converge", "--p", 5, "--n", 5, "--l", 1, "--smax", 2],
+    ["gen", "--p", 5, "--s", 2, "--n", 3, "--l", 1, "--r", 1],
+    ["verify", "--p", 5, "--s", 2, "--n", 3, "--l", 1, "--r", 1],
+    ["verify", "--in", "sol.json"],
+], ids=["converge-n3", "converge-n5", "gen", "verify", "verify-in"])
+def test_a_request_tests_p_for_primality_once(argv, monkeypatch, tmp_path):
+    # every level a request uses is derived from one validated frame
+    monkeypatch.chdir(tmp_path)
+    assert run(["gen", "--p", 5, "--s", 2, "--n", 3, "--l", 1, "--r", 1, "--out", "sol.json"]) == 0
+    calls = []
+    original = sparsepoly._is_prime
+
+    def counting(m):
+        calls.append(m)
+        return original(m)
+
+    monkeypatch.setattr(sparsepoly, "_is_prime", counting)
+    assert run(argv + ["--out", "out.json"]) == 0
+    assert calls == [5]
+
+
 @pytest.mark.parametrize("argv,what", [
     (["gen", "--p", 999999999999999989, "--s", 1, "--n", 3, "--l", 1], "primality test"),
     (["converge", "--classic", "--p", 1000000000000000000000007, "--smax", 1],
      "primality test"),
-    (["converge", "--p", 10000019, "--n", 5, "--l", 1, "--smax", 1], "Legendre table"),
 ])
 def test_work_before_the_main_guard_is_refused_at_once(argv, what, capsys):
-    # a primality test by trial division and the n = 5 probe's Legendre table
-    # each ran for more than 18 s before the desk budget refused them
+    # a primality test by trial division ran for more than 18 s before the
+    # desk budget refused it
     start = time.perf_counter()
     with pytest.raises(SystemExit) as err:
         run(argv)
@@ -700,9 +740,8 @@ def request_cost(argv):
             return float("inf")
     if args.classic:
         return sum(classic_cost(args.p or 5, s) for s in range(1, (args.smax or 3) + 1))
-    cost = convergence_cost(args.p, args.n, args.l, args.smax, args.samples or 50,
+    return convergence_cost(args.p, args.n, args.l, args.smax, args.samples or 50,
                             args.prec or args.smax + 8)
-    return max(cost, probe_cost(args.p)) if args.n == 5 else cost
 
 
 def _benchmark_requests():
@@ -748,8 +787,6 @@ REFUSED = [                                     # the argv of every refusal test
     # trial division to sqrt(p): each ran past 20 s before any guard
     ["gen", "--p", 999999999999999989, "--s", 1, "--n", 3, "--l", 1],
     ["converge", "--classic", "--p", 1000000000000000000000007, "--smax", 1],
-    # the n = 5 domain probe's table of p Legendre symbols: 18 s
-    ["converge", "--p", 10000019, "--n", 5, "--l", 1, "--smax", 1],
 ]
 
 ADMITTED = [                                    # README examples and the runs tests make
@@ -763,6 +800,7 @@ ADMITTED = [                                    # README examples and the runs t
      "--prec", 12],
     ["converge", "--p", 5, "--n", 5, "--l", 2, "--smax", 2],
     ["converge", "--p", 5, "--n", 5, "--l", 1, "--smax", 3, "--prec", 11],
+    ["converge", "--p", 10000019, "--n", 5, "--l", 1, "--smax", 1],
     ["converge", "--classic"],
     ["converge", "--classic", "--p", 7, "--smax", 4],
     ["converge", "--classic", "--p", 5, "--smax", 5],

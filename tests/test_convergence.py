@@ -1,4 +1,5 @@
 import functools
+import itertools
 import math
 import random
 import time
@@ -625,19 +626,16 @@ def test_converge_q_matches_t_for_n3():
 
 
 def test_disjoint_domains():
-    report = disjoint_domain_probe(5, 3000, 7)
+    report = disjoint_domain_probe()
     assert report.passed
+    assert report.cells == 2500 and report.first_overlap is None
     assert report.in_first > 0 and report.in_second > 0
     assert "val(u3)" in report.reason
 
 
-def test_disjoint_domains_refuses_no_points():
-    with pytest.raises(ValueError, match="need count >= 1"):
-        disjoint_domain_probe(5, 0, 1)
-
-
 def _randrange_probe_counts(p, count, seed):
-    """(in_first, in_second, in_both) with the points drawn by randrange itself."""
+    """Per point drawn by randrange: its cell and its concrete (first, second)
+    membership, decided from the real units and the set of squares mod p."""
     rng = random.Random(seed)
     squares = {a * a % p for a in range(1, p)}
 
@@ -648,42 +646,99 @@ def _randrange_probe_counts(p, count, seed):
             unit = rng.randrange(1, p ** 4)
         return val, unit
 
-    first = second = both = 0
+    def chi(a):
+        return 1 if a % p in squares else -1
+
+    out = []
     for _ in range(count):
         (v1, a1), (v2, a2), (v3, a3), (v4, a4) = [coord() for _ in range(4)]
         p1 = (3 * v1 + 2 * v2 + v3 == 0 and a1 ** 3 * a2 ** 2 * a3 % p in squares
               and v2 + v3 >= 1 and v3 >= 1 and v4 >= 1)
         p2 = (v1 == 0 and a1 % p in squares
               and v2 >= 1 and v2 + v3 >= 1 and v2 + v3 + v4 >= 1)
-        first += p1
-        second += p2
-        both += p1 and p2
-    return first, second, both
+        cell = (v1 + 2, v2 + 2, v3 + 2, v4 + 2, chi(a1), chi(a3))
+        out.append((cell, p1, p2))
+    return out
 
 
 @pytest.mark.parametrize("seed", [0, 1, 7, 101])
 @pytest.mark.parametrize("p", [3, 5, 7, 11, 13, 17, 257])
 def test_disjoint_probe_follows_the_randrange_stream(p, seed):
-    # the probe draws from getrandbits by randrange's rule, so its counts
-    # are those of the randrange sampler, point for point; at p = 257 a unit
-    # draw is 33 bits wide and so spans two Mersenne Twister words
+    # the cells decide membership for every point the old seeded sampler
+    # drew: the concrete predicates on real units agree with the cell
+    # predicates, and no sampled point lies in both domains; at p = 257 a
+    # unit draw is 33 bits wide and so spans two Mersenne Twister words
     assert p != 257 or (p ** 4 - 1).bit_length() == 33
-    for count in (1, 17, 10_000):
-        report = disjoint_domain_probe(p, count, seed)
-        assert (report.in_first, report.in_second, report.in_both) == \
-            _randrange_probe_counts(p, count, seed), (p, seed, count)
+    points = _randrange_probe_counts(p, 10_000, seed)
+    for cell, p1, p2 in points:
+        assert (convergence._in_first(*cell), convergence._in_second(*cell)) == (p1, p2), cell
+    assert sum(p1 and p2 for _, p1, p2 in points) == 0
+    assert any(p1 for _, p1, _ in points) and any(p2 for _, _, p2 in points)
 
 
-@pytest.mark.parametrize("p", [1, 2, 4, 9])
-def test_disjoint_probe_refuses_non_prime_p(p):
-    with pytest.raises(ValueError, match="not an odd prime"):
-        disjoint_domain_probe(p, 100, 1)
+def test_disjoint_probe_counts_match_all_symbol_cells():
+    # all 10,000 (w, chi)**4 cells: chi(a2) and chi(a4) are never read, so
+    # each of the probe's 2,500 cells stands for four of them
+    first = second = both = 0
+    for w in itertools.product(range(5), repeat=4):
+        for c in itertools.product((1, -1), repeat=4):
+            cell = (*w, c[0], c[2])
+            p1, p2 = convergence._in_first(*cell), convergence._in_second(*cell)
+            first += p1
+            second += p2
+            both += p1 and p2
+    report = disjoint_domain_probe()
+    assert (first, second, both) == \
+        (4 * report.in_first, 4 * report.in_second, 4 * report.in_both)
+
+
+def _in_first_without_balance(w1, w2, w3, w4, c1, c3):
+    return w3 >= 3 and w4 >= 3 and w2 + w3 >= 5 and c1 == c3
+
+
+def _in_second_without_w2(w1, w2, w3, w4, c1, c3):
+    return w1 == 2 and c1 == 1 and w2 + w3 >= 5 and w2 + w3 + w4 >= 7
+
+
+@pytest.mark.parametrize("name,broken", [("_in_first", _in_first_without_balance),
+                                         ("_in_second", _in_second_without_w2)])
+def test_disjoint_probe_fails_on_a_broken_predicate(name, broken, monkeypatch):
+    # each broken copy admits cells of the other domain, and the probe names one
+    monkeypatch.setattr(convergence, name, broken)
+    report = disjoint_domain_probe()
+    assert not report.passed and report.in_both > 0
+    val, chi = report.first_overlap["val"], report.first_overlap["chi"]
+    cell = (*(v + 2 for v in val), *chi)
+    assert broken(*cell) and convergence._in_first(*cell) and convergence._in_second(*cell)
+
+
+def test_disjoint_probe_needs_no_w3_bound(monkeypatch):
+    # val(u3) >= 1 is not what keeps the domains apart: val(u2 u3) >= 1 in
+    # the first already contradicts val(u3) = -2 val(u2) <= -2, so the first
+    # domain without w3 >= 3 is larger and still misses the second
+    monkeypatch.setattr(convergence, "_in_first", lambda w1, w2, w3, w4, c1, c3: (
+        w4 >= 3 and w2 + w3 >= 5 and 3 * w1 + 2 * w2 + w3 == 12 and c1 == c3))
+    report = disjoint_domain_probe()
+    assert report.passed and report.in_first > 12
+
+
+@pytest.mark.parametrize("name", ["_in_first", "_in_second"])
+def test_disjoint_probe_fails_as_vacuous(name, monkeypatch):
+    monkeypatch.setattr(convergence, name, lambda *cell: False)
+    report = disjoint_domain_probe()
+    assert not report.passed and report.in_both == 0 and report.first_overlap is None
 
 
 @pytest.mark.parametrize("seed", range(5))
-def test_disjoint_probe_fails_with_an_empty_domain(seed):
-    # one point lands in at most one domain, so the probe checks nothing
-    report = disjoint_domain_probe(5, 1, seed)
+def test_disjoint_probe_fails_with_an_empty_domain(seed, monkeypatch):
+    # one sampled point lands in at most one domain, so predicates cut down
+    # to that point's cell check nothing
+    [(cell, _, _)] = _randrange_probe_counts(5, 1, seed)
+    for name in ("_in_first", "_in_second"):
+        real = getattr(convergence, name)
+        monkeypatch.setattr(convergence, name,
+                            lambda *c, real=real: c == cell and real(*c))
+    report = disjoint_domain_probe()
     assert report.in_first == 0 or report.in_second == 0
     assert not report.passed
 

@@ -19,7 +19,7 @@ PINS = {
     "verify-equation-broken": (1, "d3e3e47b8bb189a68b3d10989aa74112c8b74bb7553308c1f21b81731795f09b"),
     "cartier": (0, "af048474b00baae7b8254f2a1e278bc77b10408401185e42ec4728d2aee2fa35"),
     "asympt": (0, "d7b9ca7afb5055cea9a8927073960f6caff0e8564cbcb01086f2bea4a5ecb652"),
-    "converge-n5": (0, "0a74e8a1c14b068d1c93635c1e8ceae03f9fa2ee306ef4f37935f4cc4f1819cd"),
+    "converge-n5": (0, "a5ee6ad673483804ebf053be8b48e0a44d01322b5c72817773f05adf10e61d1e"),
     "classic": (1, "b785f77803892dea4d4d2f9da3f51c0a740bcc8e57abf59f2f39ce4c41e0aa56"),
     "converge-n3": (0, "b1555de21f1658724a1a816dd5cbea01f6a62dd2c0eff25f391875706e7747fc"),
     "gen-raised": (0, "c6f33bbb098ba004b450906619f2b19c8c019464e7d04e75b8e19d4897ef9474"),
