@@ -21,7 +21,6 @@ from .sparsepoly import (
     poly_to_json,
     product_power_slice,
     slice_cost,
-    z_variables,
 )
 
 
@@ -67,13 +66,17 @@ class CartierMatrix:
 
 def cartier_matrix(p: int, n: int) -> CartierMatrix:
     """C_i^j = coefficient of x**(j p - 1) in x**(i-1) f(x)**((p-1)/2) mod p."""
-    KZInstance(n, ModulusContext(p, 1))  # validates an odd prime p >= n and an odd n >= 3
-    g = (n - 1) // 2
-    zvars = z_variables(n)
+    # the instance validates an odd prime p >= n and an odd n >= 3
+    return cartier_matrix_of(KZInstance(n, ModulusContext(p, 1)))
+
+
+def cartier_matrix_of(inst: KZInstance) -> CartierMatrix:
+    """``cartier_matrix`` at the p and n of an instance, without testing p again."""
+    p, n, g = inst.ctx.p, inst.n, inst.g
     caps = ((p - 1) // 2,) * n
     index = [[j * p - i for j in range(1, g + 1)] for i in range(1, g + 1)]
     desk_check(sum(slice_cost(caps, k) for row in index for k in row), "matrix")
-    entries = [[Polynomial(zvars, product_power_slice(caps, k)).reduce_mod(p) for k in row]
+    entries = [[Polynomial(inst.zvars, product_power_slice(caps, k)).reduce_mod(p) for k in row]
                for row in index]
     return CartierMatrix(p, n, entries)
 
@@ -102,7 +105,7 @@ def iterated_product(inst: KZInstance, t: int, m: int) -> CartierMatrix:
     """
     if not 1 <= m < t:
         raise ValueError("need 1 <= m < t")
-    C = cartier_matrix(inst.ctx.p, inst.n)
+    C = cartier_matrix_of(inst)
     product = C.twist(t - m)
     for k in range(t - m + 1, t):
         product = matmul(product, C.twist(k))

@@ -25,7 +25,7 @@ from .asymptotic import (
     q_consistency_report,
     zone_request_cost,
 )
-from .cartier import cartier_matrix, verify_grading_relation, verify_iterated_product
+from .cartier import cartier_matrix_of, verify_grading_relation, verify_iterated_product
 from .convergence import (
     classic_partial_sums,
     converge_Q_general,
@@ -209,16 +209,17 @@ def cmd_verify(args):
 
 def cmd_cartier(args):
     _require(args, "p", "n")
-    if not args.verify:
+    if args.verify:
+        _at_least(args, "t", 2)
+    else:
         _unused(args, ("t",), "is used only with --verify")
-    C = cartier_matrix(args.p, args.n)
+    t = args.t if args.t is not None else 2   # the level --verify lowers from
+    inst = KZInstance(args.n, ModulusContext(args.p, t))
+    C = cartier_matrix_of(inst)
     ok = C.degrees_ok()
     artifact = {"schema": SCHEMA, "kind": "cartier", "matrix": C.to_json(),
                 "degrees_ok": ok}
     if args.verify:
-        _at_least(args, "t", 2)
-        t = args.t if args.t is not None else 2
-        inst = KZInstance(args.n, ModulusContext(args.p, t))
         grading = verify_grading_relation(inst, t)
         artifact["grading"] = grading.to_json()
         ok = ok and grading.passed

@@ -294,19 +294,6 @@ class Polynomial:
             result = result + term
         return result
 
-    def evaluate(self, values, modulus: int) -> int:
-        """Evaluate mod ``modulus`` at an integer point (sequence ordered like ``vars``)."""
-        if len(values) != len(self.vars):
-            raise ValueError("point has wrong length")
-        total = 0
-        for mono, coeff in self.terms.items():
-            term = coeff
-            for val, e in zip(values, mono):
-                if e:
-                    term *= pow(val, e, modulus)
-            total += term
-        return total % modulus
-
     def __repr__(self) -> str:
         return f"Polynomial({self.vars}, {self.terms})"
 

@@ -65,15 +65,15 @@ def test_grading_failure_site_names_the_tampered_entry(monkeypatch):
     p, n, t = 5, 5, 2
     inst = KZInstance(n, ModulusContext(p, t))
     mu = (1, 0, 2, 0, 0)
-    untampered = cartier.cartier_matrix
+    untampered = cartier.cartier_matrix_of
 
-    def tampered(p_, n_):
-        C = untampered(p_, n_)
+    def tampered(inst_):
+        C = untampered(inst_)
         entries = [list(row) for row in C.entries]
-        entries[0][1] = (entries[0][1] + Polynomial(z_variables(n_), {mu: 1})).reduce_mod(p_)
-        return cartier.CartierMatrix(p_, n_, entries)
+        entries[0][1] = (entries[0][1] + Polynomial(z_variables(C.n), {mu: 1})).reduce_mod(C.p)
+        return cartier.CartierMatrix(C.p, C.n, entries)
 
-    monkeypatch.setattr(cartier, "cartier_matrix", tampered)
+    monkeypatch.setattr(cartier, "cartier_matrix_of", tampered)
     report = verify_grading_relation(inst, t)
     # +z**mu in C_1^2 adds lower_1 * z**(p mu) to the l = 2 combination, so the
     # first mismatch is -lower_1 at its first nonzero component mod p, shifted
@@ -148,14 +148,14 @@ def test_lowering_outside_the_levels_is_refused(t, m):
 def test_lowering_fails_on_a_tampered_matrix(monkeypatch):
     p, n, s, t, m = 5, 3, 3, 2, 1
     inst = KZInstance(n, ModulusContext(p, s))
-    untampered = cartier.cartier_matrix
+    untampered = cartier.cartier_matrix_of
 
-    def tampered(p_, n_):
-        C = untampered(p_, n_)
-        entry = (C.entry(1, 1) + Polynomial(z_variables(n_), {(1, 0, 0): 1})).reduce_mod(p_)
-        return cartier.CartierMatrix(p_, n_, [[entry]])
+    def tampered(inst_):
+        C = untampered(inst_)
+        entry = (C.entry(1, 1) + Polynomial(z_variables(C.n), {(1, 0, 0): 1})).reduce_mod(C.p)
+        return cartier.CartierMatrix(C.p, C.n, [[entry]])
 
-    monkeypatch.setattr(cartier, "cartier_matrix", tampered)
+    monkeypatch.setattr(cartier, "cartier_matrix_of", tampered)
     report = verify_iterated_product(inst, t, m)
     assert report.reformulation_ok is False and not report.passed
     assert verify_grading_relation(inst, t).matches == [False]

@@ -496,7 +496,10 @@ def test_converge_n5_at_a_large_prime_ends_at_once(tmp_path):
     ["gen", "--p", 5, "--s", 2, "--n", 3, "--l", 1, "--r", 1],
     ["verify", "--p", 5, "--s", 2, "--n", 3, "--l", 1, "--r", 1],
     ["verify", "--in", "sol.json"],
-], ids=["converge-n3", "converge-n5", "gen", "verify", "verify-in"])
+    ["cartier", "--p", 5, "--n", 3],
+    ["cartier", "--p", 5, "--n", 3, "--t", 3, "--verify"],
+], ids=["converge-n3", "converge-n5", "gen", "verify", "verify-in", "cartier",
+        "cartier-verify"])
 def test_a_request_tests_p_for_primality_once(argv, monkeypatch, tmp_path):
     # every level a request uses is derived from one validated frame
     monkeypatch.chdir(tmp_path)

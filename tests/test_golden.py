@@ -14,9 +14,9 @@ from kz_padic.cli import main
 
 PINS = {
     "gen": (0, "3a8ab5ed501d2ce1a064ba6cf2465f8c8d8b6edbfb40784bc349c72e77b02ac0"),
-    "verify": (0, "d466472f183b10603b0983e82106d03cd22fb8b6fa3f886f8c4322b2704917b8"),
-    "verify-sum-broken": (1, "6d215bc7a009e94a5a63e30ccd627f214b91486426efad8318b3a5876ca2d1b3"),
-    "verify-equation-broken": (1, "d3e3e47b8bb189a68b3d10989aa74112c8b74bb7553308c1f21b81731795f09b"),
+    "verify": (0, "d731a0e5a237c426fae1154dc93505f4a88c106c7f1d4ae442c84b7bef29a2d5"),
+    "verify-sum-broken": (1, "07a3bd5e42d1e451b5f39839d4f9f0b142e46b95c0942e2a344910f0564529d5"),
+    "verify-equation-broken": (1, "71b28bb569ce65fc91d2e803aabe2bc77cbc8b706445248e3a28d39e961b6685"),
     "cartier": (0, "af048474b00baae7b8254f2a1e278bc77b10408401185e42ec4728d2aee2fa35"),
     "asympt": (0, "d7b9ca7afb5055cea9a8927073960f6caff0e8564cbcb01086f2bea4a5ecb652"),
     "converge-n5": (0, "a5ee6ad673483804ebf053be8b48e0a44d01322b5c72817773f05adf10e61d1e"),

@@ -1,8 +1,11 @@
+import inspect
 import random
+import textwrap
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import test_golden
 from kz_padic import kz
 from kz_padic.kz import (
     KZInstance,
@@ -13,7 +16,14 @@ from kz_padic.kz import (
     verify_solution,
 )
 from kz_padic.solutions import extract_solution, master_component
-from kz_padic.sparsepoly import ModulusContext, Polynomial, PolyVector, z_variables
+from kz_padic.sparsepoly import (
+    ModulusContext,
+    Polynomial,
+    PolyVector,
+    vector_from_json,
+    vector_to_json,
+    z_variables,
+)
 
 
 def inst513():
@@ -179,7 +189,7 @@ def test_instance_validation():
     KZInstance(5, ModulusContext(5, 1))      # p = n is allowed
 
 
-# -- the factored residual against the expanded formula ------------------------
+# -- the reduced residual, cleared, against the expanded formula ---------------
 
 GRID = [(5, 1, 3), (5, 2, 3), (5, 3, 3), (7, 1, 3), (7, 2, 3),
         (5, 1, 5), (5, 2, 5), (7, 1, 5)]
@@ -209,28 +219,39 @@ def expanded_residue(I, i, inst):
     return res.reduce_mod(inst.ctx.modulus)
 
 
-def assert_matches_oracle(vec, inst, monkeypatch):
-    """kz_residue equals the oracle on every equation, and so do the verify payloads."""
-    oracle = {}
+def cleared(red, i, inst):
+    """The cleared residual rebuilt from the reduced one: R_ik r_ik in component
+    k != i and L_i dS/dz_i - sum_{k != i} R_ik r_ik in component i, mod p**s."""
+    comps = [cofactor(red.vars, inst, i, k) * r for k, r in enumerate(red, 1)]  # R_ii = L_i
+    for k, comp in enumerate(comps, 1):
+        if k != i:
+            comps[i - 1] = comps[i - 1] - comp
+    return PolyVector(comps).reduce_mod(inst.ctx.modulus)
 
-    def recording(I, i, inst_, S):
-        assert S == I.sum_entries()
-        oracle[i] = expanded_residue(I, i, inst_)
-        return oracle[i]
 
-    with monkeypatch.context() as patch:
-        patch.setattr(kz, "_residue", recording)
-        expected = verify_solution(vec, inst).to_json()
+def oracle_mismatches(vec, inst):
+    """Equations where the cleared kz_residue or the verify verdict differs from the oracle."""
+    equations = verify_solution(vec, inst).equations
+    bad = []
     for i in range(1, inst.n + 1):
-        assert kz_residue(vec, i, inst) == oracle[i], f"equation {i}"
-    assert verify_solution(vec, inst).to_json() == expected
-    return expected
+        want = expanded_residue(vec, i, inst)
+        got = cleared(kz_residue(vec, i, inst), i, inst)
+        if got != want or equations[i - 1] != want.is_zero():
+            bad.append(i)
+    return bad
+
+
+def assert_matches_oracle(vec, inst):
+    """The cleared kz_residue equals the oracle on every equation, and each verdict
+    of verify_solution is the oracle's."""
+    assert oracle_mismatches(vec, inst) == []
+    return verify_solution(vec, inst).to_json()
 
 
 @pytest.mark.parametrize("p,s,n,l", GRID_SOLUTIONS)
-def test_residue_matches_oracle_on_grid(p, s, n, l, monkeypatch):
+def test_residue_matches_oracle_on_grid(p, s, n, l):
     inst = KZInstance(n, ModulusContext(p, s))
-    payload = assert_matches_oracle(extract_solution(inst, None, l).vector, inst, monkeypatch)
+    payload = assert_matches_oracle(extract_solution(inst, None, l).vector, inst)
     assert payload["pass"]
 
 
@@ -245,24 +266,23 @@ def sum_preserving_corruption(vec, rng):
 
 
 @pytest.mark.parametrize("p,s,n,l", GRID_SOLUTIONS)
-def test_residue_matches_oracle_on_corrupted_copies(p, s, n, l, monkeypatch):
+def test_residue_matches_oracle_on_corrupted_copies(p, s, n, l):
     inst = KZInstance(n, ModulusContext(p, s))
     vec = extract_solution(inst, None, l).vector
     rng = random.Random(f"{p}-{s}-{n}-{l}")
     corrupted = sum_preserving_corruption(vec, rng)
-    payload = assert_matches_oracle(corrupted, inst, monkeypatch)
+    payload = assert_matches_oracle(corrupted, inst)
     assert payload["sum_ok"] and not payload["pass"]
 
     bumped = [dict(e.terms) for e in vec.entries]
     slot = rng.randrange(n)
     mono = rng.choice(sorted(bumped[slot]))
     bumped[slot][mono] += 1
-    payload = assert_matches_oracle(
-        PolyVector([Polynomial(vec.vars, t) for t in bumped]), inst, monkeypatch)
+    payload = assert_matches_oracle(PolyVector([Polynomial(vec.vars, t) for t in bumped]), inst)
     assert not payload["sum_ok"] and not payload["pass"]
 
 
-def test_residue_when_only_the_sum_derivative_survives(monkeypatch):
+def test_residue_when_only_the_sum_derivative_survives():
     # I = (0, (z1-z2)**M, (z1-z3)**M) with M = -1/2 mod 5: every pair residual
     # r_1k vanishes, but dS/dz_1 does not, so equation 1 fails in component 1
     inst = inst513()
@@ -271,8 +291,49 @@ def test_residue_when_only_the_sum_derivative_survives(monkeypatch):
     vec = PolyVector([Polynomial.zero(inst.zvars), (z1 - z2) ** M, (z1 - z3) ** M])
     res = kz_residue(vec, 1, inst)
     assert not res[0].is_zero() and res[1].is_zero() and res[2].is_zero()
-    payload = assert_matches_oracle(vec, inst, monkeypatch)
+    payload = assert_matches_oracle(vec, inst)
     assert payload["equations"][0] is False
+
+
+def test_first_failure_is_the_least_term_of_the_first_nonzero_component():
+    # the golden equation-broken input moves +1 from I_1 to I_2 at one
+    # monomial; pair (1, 2) sees it before dS/dz_1 or any other pair
+    inst = KZInstance(3, ModulusContext(5, 2))
+    data = {"vector": vector_to_json(extract_solution(inst, None, 1).vector)}
+    test_golden._break_equation(data)
+    vec = vector_from_json(data["vector"])
+    check = verify_solution(vec, inst)
+    i = check.equations.index(False) + 1
+    component, mono, coeff = kz_residue(vec, i, inst).first_term()
+    assert check.first_failure == {"equation": i, "component": component,
+                                   "monomial": list(mono), "coefficient": str(coeff)}
+    assert check.first_failure == {"equation": 1, "component": 2,
+                                   "monomial": [0, 0, 11], "coefficient": "24"}
+
+
+def broken(name, old, new):
+    """kz.<name> rebuilt from its source with ``old`` replaced, exactly once, by ``new``."""
+    source = textwrap.dedent(inspect.getsource(getattr(kz, name)))
+    assert source.count(old) == 1, f"{name}: {old!r} no longer matches"
+    namespace = dict(vars(kz))
+    exec(source.replace(old, new), namespace)
+    return namespace[name]
+
+
+@pytest.mark.parametrize("name,old,new", [
+    ("_pair_residues", "{mono: -inv2 * c for mono, c in I[a].terms.items()}", "{}"),
+    ("_residue", "S.diff_index(i - 1).reduce_mod(inst.ctx.modulus).terms", "{}"),
+    ("_pair_residues", "down[zk] += 1", "pass"),
+], ids=["no-inv2-I_i", "no-dS", "no-z_k-shift"])
+def test_oracle_fails_on_a_broken_residue(name, old, new, monkeypatch):
+    inst = inst513()
+    vec = extract_solution(inst).vector
+    z1, z2, z3 = (Polynomial.variable(v, inst.zvars) for v in inst.zvars)
+    only_dS = PolyVector([Polynomial.zero(inst.zvars), (z1 - z2) ** 2, (z1 - z3) ** 2])
+    cases = [vec, sum_preserving_corruption(vec, random.Random(0)), only_dS]
+    assert all(oracle_mismatches(case, inst) == [] for case in cases)
+    monkeypatch.setattr(kz, name, broken(name, old, new))
+    assert any(oracle_mismatches(case, inst) for case in cases)
 
 
 @st.composite
@@ -297,8 +358,7 @@ def sparse_vectors(draw):
 @given(sparse_vectors())
 def test_residue_matches_oracle_on_random_vectors(case):
     inst, vec = case
-    for i in range(1, inst.n + 1):
-        assert kz_residue(vec, i, inst) == expanded_residue(vec, i, inst)
+    assert_matches_oracle(vec, inst)
 
 
 @pytest.mark.parametrize("l", [1, 2, 3])

@@ -283,8 +283,9 @@ def test_reduce_mod_examples():
     assert (-1 * z1).reduce_mod(25) == 24 * z1
     e1 = z1 + z2 + z3
     e2 = z1 * z2 + z1 * z3 + z2 * z3
-    value = (e1 * e1 + 2 * e2).reduce_mod(5).evaluate([1, 2, 3], 5)
-    assert value == (36 + 22) % 5 == 3
+    # e1**2 + 2 e2 = sum z_i**2 + 4 e2, already reduced mod 5
+    assert (e1 * e1 + 2 * e2).reduce_mod(5).terms == {
+        (2, 0, 0): 1, (0, 2, 0): 1, (0, 0, 2): 1, (1, 1, 0): 4, (1, 0, 1): 4, (0, 1, 1): 4}
 
 
 def test_variable_mismatch():
